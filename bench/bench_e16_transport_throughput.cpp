@@ -17,9 +17,14 @@
 // The steady-state allocation column counts operator-new calls (see
 // alloc_hooks.h) during a warm simulate_rounds_into batch over a cached
 // codebook round — the zero-copy arena contract says it is exactly 0.
+//
+// The VERDICT is computed from the measured rows: each of its three claims
+// (batched beats single, vector kernels beat scalar, zero steady-state
+// allocations) is printed as holding or failing, with the rows that break it.
 #include <chrono>
 #include <iostream>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "alloc_hooks.h"
@@ -99,6 +104,53 @@ Measurement measure(std::size_t n, std::size_t degree, std::size_t rounds,
     m.steady_allocs = alloc_hooks::count() - before;
     m.arena_words = batch.arena_words();
     return m;
+}
+
+std::string row_name(const Measurement& m) {
+    return "n=" + std::to_string(m.n) + "/" + simd::kernel_name(m.resolved);
+}
+
+/// One VERDICT claim: "holds" or "FAILS (rows ...)" from the rows breaking it.
+std::string claim_status(const std::vector<std::string>& breaking) {
+    if (breaking.empty()) {
+        return "holds";
+    }
+    std::string status = "FAILS (";
+    for (std::size_t i = 0; i < breaking.size(); ++i) {
+        status += (i == 0 ? "" : ", ") + breaking[i];
+    }
+    return status + ")";
+}
+
+/// The three claims E16 makes, each checked against every measured row.
+std::string verdict_text(const std::vector<Measurement>& measurements) {
+    std::vector<std::string> not_batched_faster;
+    std::vector<std::string> not_vector_faster;
+    std::vector<std::string> allocating;
+    bool any_vector = false;
+    for (const auto& m : measurements) {
+        if (m.batched_rounds_per_s <= m.single_rounds_per_s) {
+            not_batched_faster.push_back(row_name(m));
+        }
+        if (m.steady_allocs != 0) {
+            allocating.push_back(row_name(m) + " allocs=" + std::to_string(m.steady_allocs));
+        }
+        if (m.resolved == simd::Kernel::scalar) {
+            continue;
+        }
+        any_vector = true;
+        for (const auto& scalar : measurements) {
+            if (scalar.resolved == simd::Kernel::scalar && scalar.n == m.n &&
+                m.batched_rounds_per_s <= scalar.batched_rounds_per_s) {
+                not_vector_faster.push_back(row_name(m));
+            }
+        }
+    }
+    return "batched beats single on every row: " + claim_status(not_batched_faster) +
+           "; vector kernels beat scalar (batched, same n): " +
+           (any_vector ? claim_status(not_vector_faster)
+                       : std::string("not tested (no vector kernel on this host)")) +
+           "; steady-state allocations are exactly 0: " + claim_status(allocating);
 }
 
 }  // namespace
@@ -189,9 +241,6 @@ int main() {
         json.end_object();
     });
 
-    bench::verdict(
-        "the batched arena path beats the single-round loop on every kernel "
-        "set, the vector kernels beat scalar, and the steady-state allocation "
-        "count on the batched decode path is exactly 0");
+    bench::verdict(verdict_text(measurements));
     return 0;
 }

@@ -25,17 +25,8 @@ applies the threshold when the recorded hardware_concurrency is >= 4 and
 otherwise just sanity-checks that every rate is positive — same-machine
 self-comparison, so no baseline file and no normalization anchor needed.
 
-A third self-contained mode gates the serialized-codebook claim:
-`--codebook BENCH_codebook.json` checks that at n >= 4096 the mmap load is
-at least --codebook-speedup (default 5.0) times faster than a fresh build,
-that every mode stayed fingerprint-identical to fresh, and that the bench's
-simulated restart recorded zero builds. Like --shard this is a same-machine
-self-comparison (a ratio of two timings from one run), so it needs no
-baseline and no normalization anchor.
-
 Usage: check_perf_regression.py CURRENT BASELINE [--threshold 0.30]
        check_perf_regression.py --shard BENCH_shard.json [--shard-speedup 2.0]
-       check_perf_regression.py --codebook BENCH_codebook.json [--codebook-speedup 5.0]
 Exit status 0 = pass, 1 = regression or malformed input.
 """
 
@@ -125,59 +116,6 @@ def check_shard_scaling(path, min_speedup):
     return 0
 
 
-def check_codebook(path, min_speedup):
-    """The BENCH_codebook.json gate: correctness is exact (every build mode
-    fingerprint-identical to fresh, warm restart rebuilt nothing), and the
-    mmap-load speedup threshold applies at n >= 4096, where the dictionary
-    construction being skipped is large enough to dominate timing noise."""
-    doc = load_doc(path)
-    results = doc.get("results", [])
-    if not results:
-        print(f"check_perf_regression: {path}: no results", file=sys.stderr)
-        return 1
-    failures = []
-    gated = 0
-    for row in results:
-        n = int(row["n"])
-        fresh = float(row["fresh_ms"])
-        mmap_load = float(row["mmap_load_ms"])
-        if fresh <= 0 or mmap_load <= 0:
-            failures.append(f"n={n}: non-positive timing (fresh={fresh}, "
-                            f"mmap={mmap_load})")
-            continue
-        if not row.get("identical", False):
-            failures.append(f"n={n}: a build mode diverged from the fresh "
-                            f"fingerprint")
-        speedup = fresh / mmap_load
-        gate = ""
-        if n >= 4096:
-            gated += 1
-            if speedup < min_speedup:
-                gate = " REGRESSION"
-                failures.append(f"n={n}: mmap load speedup {speedup:.1f}x below "
-                                f"required {min_speedup:.1f}x")
-        print(f"  n={n:5d} fresh {fresh:9.2f} ms  mmap {mmap_load:8.3f} ms  "
-              f"({speedup:7.1f}x){gate}")
-    cache = doc.get("cache", {})
-    if cache.get("builds", -1) != 0:
-        failures.append(f"cache.builds={cache.get('builds')} after simulated "
-                        f"restart (expected 0 — warm start rebuilt)")
-    if cache.get("disk_loads", 0) < 1:
-        failures.append("cache.disk_loads=0 after simulated restart (warm path "
-                        "never exercised)")
-    if gated == 0:
-        failures.append("no n >= 4096 row to gate on")
-    if failures:
-        print(f"\ncheck_perf_regression: {len(failures)} failure(s):",
-              file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print(f"check_perf_regression: codebook mmap speedup >= {min_speedup:.1f}x, "
-          f"all modes fingerprint-identical, warm restart built nothing")
-    return 0
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", nargs="?",
@@ -192,24 +130,11 @@ def main():
     parser.add_argument("--shard-speedup", type=float, default=2.0,
                         help="required 1->4 shard throughput ratio when the "
                              "machine has >= 4 cores (default 2.0)")
-    parser.add_argument("--codebook", metavar="BENCH_codebook.json",
-                        help="gate serialized-codebook load speedup and "
-                             "fingerprint identity instead of the transport "
-                             "baseline comparison")
-    parser.add_argument("--codebook-speedup", type=float, default=5.0,
-                        help="required fresh-build / mmap-load ratio at "
-                             "n >= 4096 (default 5.0)")
     args = parser.parse_args()
 
     if args.shard is not None:
         try:
             return check_shard_scaling(args.shard, args.shard_speedup)
-        except (OSError, KeyError, ValueError) as err:
-            print(f"check_perf_regression: {err}", file=sys.stderr)
-            return 1
-    if args.codebook is not None:
-        try:
-            return check_codebook(args.codebook, args.codebook_speedup)
         except (OSError, KeyError, ValueError) as err:
             print(f"check_perf_regression: {err}", file=sys.stderr)
             return 1

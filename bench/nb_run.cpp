@@ -35,19 +35,13 @@
 //                             path with .json replaced by .journal.jsonl)
 //   nb_run --resume           replay completed jobs from the journal before
 //                             running the rest (byte-identical artifact)
-//   nb_run --codebook-dir DIR warm-start directory: mmap-load serialized
-//                             codebooks (nb-codebook/v1) on cache misses and
-//                             persist new builds there, so a repeated run
-//                             skips every dictionary construction
-//   nb_run --codebook-stats F write the process-wide codebook cache counters
-//                             (builds, hits, disk loads/saves, hit rate) to F
-//                             as nb-codebook-stats/v1 after the run
 //
 // Robustness contract: bad input of any kind — unknown flags, malformed
 // spec files, out-of-range values — produces a one-line diagnostic on
 // stderr and exit code 2, never a crash or a stack trace. A sweep whose
 // jobs permanently fail (after retries) still writes the artifact and the
 // failure table, and exits 1.
+#include <cctype>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
@@ -62,29 +56,19 @@
 #include "scenarios/scenario.h"
 #include "scenarios/spec_json.h"
 #include "scenarios/sweep.h"
-#include "sim/codebook_cache.h"
 
 namespace {
 
-/// nb-codebook-stats/v1: the cache counter snapshot CI's warm-start smoke
-/// job asserts on (a warm second run must show builds == 0). Best-effort on
-/// top of the run's own exit code — a stats write failure is its own error.
-bool write_codebook_stats(const std::string& path) {
-    const nb::CodebookCache::Stats cache = nb::CodebookCache::instance().stats();
-    return nb::bench::write_json_file(path, [&](nb::JsonWriter& json) {
-        json.begin_object();
-        json.kv("schema", "nb-codebook-stats/v1");
-        json.key("cache").begin_object();
-        json.kv("builds", cache.builds);
-        json.kv("hits", cache.hits);
-        json.kv("disk_loads", cache.disk_loads);
-        json.kv("disk_saves", cache.disk_saves);
-        json.kv("evictions", cache.evictions + cache.evictions_capacity);
-        json.kv("bytes_resident", static_cast<std::uint64_t>(cache.bytes_resident));
-        json.kv("hit_rate", cache.hit_rate());
-        json.end_object();
-        json.end_object();
-    });
+/// strtoull restricted to plain digit strings: strtoull itself skips
+/// whitespace and accepts a sign, wrapping a negation silently ("-2" ->
+/// 2^64 - 2). Anything not starting with a digit leaves `*end` at the first
+/// character, which the callers report as a parse error.
+unsigned long long parse_unsigned(const char* text, char** end) {
+    if (std::isdigit(static_cast<unsigned char>(*text)) == 0) {
+        *end = const_cast<char*>(text);
+        return 0;
+    }
+    return std::strtoull(text, end, 10);
 }
 
 /// Parse "a,b,c" with the given per-item parser; exits with a usage error on
@@ -211,8 +195,6 @@ int run_main(int argc, char** argv) {
 
     std::string json_path;
     std::string spec_path;
-    std::string codebook_dir;
-    std::string codebook_stats_path;
     std::vector<std::string> names;
     bool list_only = false;
     bool sweep_mode = false;
@@ -238,8 +220,7 @@ int run_main(int argc, char** argv) {
         auto flag_number = [&](const char* flag) -> std::size_t {
             const std::string value = flag_value(flag);
             char* end = nullptr;
-            const auto parsed =
-                static_cast<std::size_t>(std::strtoull(value.c_str(), &end, 10));
+            const auto parsed = static_cast<std::size_t>(parse_unsigned(value.c_str(), &end));
             if (value.empty() || end == nullptr || *end != '\0') {
                 std::cerr << "error: " << flag << " expects a number, got '" << value
                           << "'\n";
@@ -262,9 +243,7 @@ int run_main(int argc, char** argv) {
         } else if (arg == "--seeds") {
             sweep_only_flag = "--seeds";
             axis_flag = "--seeds";
-            seeds = parse_list<std::uint64_t>(
-                flag_value("--seeds"), "--seeds",
-                [](const char* s, char** end) { return std::strtoull(s, end, 10); });
+            seeds = parse_list<std::uint64_t>(flag_value("--seeds"), "--seeds", parse_unsigned);
         } else if (arg == "--eps") {
             sweep_only_flag = "--eps";
             axis_flag = "--eps";
@@ -311,20 +290,12 @@ int run_main(int argc, char** argv) {
         } else if (arg == "--resume") {
             sweep_only_flag = "--resume";
             sweep_options.resume = true;
-        } else if (arg == "--codebook-dir") {
-            // Valid in both modes: an execution knob like --shards — results
-            // are bit-identical with or without it (the format pins the
-            // builder's fingerprint), only the build cost moves.
-            codebook_dir = flag_value("--codebook-dir");
-        } else if (arg == "--codebook-stats") {
-            codebook_stats_path = flag_value("--codebook-stats");
         } else if (arg == "--help" || arg == "-h") {
             std::cout
                 << "usage: nb_run [--list] [--json PATH] [--sweep] [--spec FILE]\n"
                    "              [--workers N] [--seeds 1,2,3] [--eps 0.05,0.1]\n"
                    "              [--shards N] [--max-retries N] [--timeout SECONDS]\n"
-                   "              [--journal PATH] [--resume] [--codebook-dir DIR]\n"
-                   "              [--codebook-stats FILE] [scenario ...]\n";
+                   "              [--journal PATH] [--resume] [scenario ...]\n";
             return 0;
         } else if (!arg.empty() && arg.front() == '-') {
             std::cerr << "error: unknown option " << arg << " (try --help)\n";
@@ -351,10 +322,6 @@ int run_main(int argc, char** argv) {
     if (!spec_path.empty() && !names.empty()) {
         std::cerr << "error: named scenarios cannot be combined with --spec\n";
         return 2;
-    }
-
-    if (!codebook_dir.empty()) {
-        CodebookCache::instance().set_directory(codebook_dir);
     }
 
     if (list_only) {
@@ -409,11 +376,7 @@ int run_main(int argc, char** argv) {
             // artifact as the record of per-job attempts.
             sweep_options.journal_path = default_journal_path(json_path);
         }
-        const int status = run_sweep_mode(std::move(sweep), json_path, sweep_options);
-        if (!codebook_stats_path.empty() && !write_codebook_stats(codebook_stats_path)) {
-            return 1;
-        }
-        return status;
+        return run_sweep_mode(std::move(sweep), json_path, sweep_options);
     }
 
     bench::header("nb_run", "unified scenario runner",
@@ -457,9 +420,6 @@ int run_main(int argc, char** argv) {
     const bool wrote = bench::write_json_file(json_path, [&](JsonWriter& json) {
         scenario_results_json(json, results);
     });
-    if (!codebook_stats_path.empty() && !write_codebook_stats(codebook_stats_path)) {
-        return 1;
-    }
     return wrote ? 0 : 1;
 }
 

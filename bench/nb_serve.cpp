@@ -17,9 +17,6 @@
 //                                 failures (default 2)
 //   nb_serve --drain SECONDS      grace period between a drain request and
 //                                 hard-cancelling stragglers (default 5)
-//   nb_serve --codebook-dir DIR   warm-start directory: mmap-load serialized
-//                                 codebooks on cache misses and persist new
-//                                 builds there, so a restart cold-starts warm
 //
 // Shutdown: SIGTERM or SIGINT starts a graceful drain — the listener
 // closes, queued and new submissions answer `rejected:draining`, running
@@ -91,14 +88,11 @@ int run_main(int argc, char** argv) {
             config.max_retries = flag_number("--max-retries");
         } else if (arg == "--drain") {
             config.drain_seconds = flag_seconds("--drain");
-        } else if (arg == "--codebook-dir") {
-            config.codebook_dir = flag_value("--codebook-dir");
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: nb_serve --socket PATH --store DIR [--queue N]\n"
                          "                [--executors N] [--job-workers N]\n"
                          "                [--deadline S] [--max-deadline S]\n"
-                         "                [--max-retries N] [--drain S]\n"
-                         "                [--codebook-dir DIR]\n";
+                         "                [--max-retries N] [--drain S]\n";
             return 0;
         } else {
             std::cerr << "error: unknown option " << arg << " (try --help)\n";

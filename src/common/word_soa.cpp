@@ -27,15 +27,6 @@ void WordSoa::build(std::span<const Bitstring> columns) {
     }
 }
 
-void WordSoa::set_column(std::size_t c, const Bitstring& column) {
-    require(c < count_, "WordSoa::set_column: column out of range");
-    require(column.size() == bits_, "WordSoa::set_column: column length must match");
-    const std::vector<std::uint64_t>& words = column.words();
-    for (std::size_t w = 0; w < words_; ++w) {
-        data_[w * stride_ + c] = words[w];
-    }
-}
-
 std::size_t WordSoa::column_distance(const std::uint64_t* received, std::size_t c) const {
     require(c < count_, "WordSoa::column_distance: column out of range");
     std::size_t total = 0;

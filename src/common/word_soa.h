@@ -28,12 +28,6 @@ public:
     /// Replaces any previous contents; an empty span yields empty().
     void build(std::span<const Bitstring> columns);
 
-    /// Overwrite column `c` in place with `column` (same bit length as the
-    /// built columns). The delta path for a rebuilt dictionary whose entry
-    /// space is unchanged: a copy of the old layout plus set_column for each
-    /// changed entry replaces the full re-transposition.
-    void set_column(std::size_t c, const Bitstring& column);
-
     bool empty() const noexcept { return count_ == 0; }
     std::size_t count() const noexcept { return count_; }    ///< real columns
     std::size_t stride() const noexcept { return stride_; }  ///< padded columns

@@ -111,11 +111,6 @@ Server::~Server() {
 
 void Server::start() {
     require(!started_, "serve: already started");
-    if (!config_.codebook_dir.empty()) {
-        // Warm cold-start: every codebook this process's predecessor built
-        // against this directory is an mmap away instead of a rebuild.
-        CodebookCache::instance().set_directory(config_.codebook_dir);
-    }
     store_ = std::make_unique<ArtifactStore>(config_.store_dir);
     require(::pipe(wake_pipe_) == 0, "serve: cannot create the wake pipe");
     listen_fd_ = listen_unix(config_.socket_path, /*backlog=*/64);
@@ -204,10 +199,16 @@ void Server::wait() {
     }
     executors_.clear();
 
-    // Every pending submit is answered; wake connection threads blocked in
-    // recv so they observe EOF and exit.
+    // Every pending submit is answered; let each connection finish sending
+    // the answer it holds (a job finishing only hands its answer to the
+    // connection thread), then wake connection threads blocked in recv so
+    // they observe EOF and exit. The wait is bounded by the grace period so
+    // a client that stopped reading cannot hold the drain open.
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
+        idle_cv_.wait_for(lock,
+                          std::chrono::duration<double>(std::max(0.0, config_.drain_seconds)),
+                          [&] { return answering_ == 0; });
         for (const int fd : connection_fds_) {
             ::shutdown(fd, SHUT_RDWR);
         }
@@ -230,6 +231,10 @@ void Server::serve_connection(int fd) {
     LineReader reader(fd);
     std::string line;
     while (reader.read_line(line, config_.max_request_bytes)) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++answering_;
+        }
         std::string response;
         try {
             response = handle_request(line);
@@ -238,7 +243,13 @@ void Server::serve_connection(int fd) {
         } catch (...) {
             response = bad_request("?", "unknown error");
         }
-        if (!send_line(fd, response)) {
+        const bool sent = send_line(fd, response);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            --answering_;
+        }
+        idle_cv_.notify_all();
+        if (!sent) {
             break;
         }
     }
@@ -369,8 +380,6 @@ std::string Server::handle_request(const std::string& line) {
             json.kv("hits", cache.hits);
             json.kv("builds", cache.builds);
             json.kv("evictions", cache.evictions + cache.evictions_capacity);
-            json.kv("disk_loads", cache.disk_loads);
-            json.kv("disk_saves", cache.disk_saves);
             json.kv("bytes_resident", static_cast<std::uint64_t>(cache.bytes_resident));
             json.kv("hit_rate", cache.hit_rate());
             json.end_object();

@@ -85,12 +85,6 @@ struct ServerConfig {
 
     /// Per-request line bound (wire.h); a client exceeding it is cut off.
     std::size_t max_request_bytes = 8u << 20;
-
-    /// Warm-start directory for the process-wide CodebookCache (empty =
-    /// disabled): serialized nb-codebook/v1 indexes are mmap-loaded on a
-    /// cache miss and saved after a build, so a restarted server skips the
-    /// expensive dictionary constructions its predecessor already paid for.
-    std::string codebook_dir;
 };
 
 /// Monotonic server counters, serialized by the `stats` op.
@@ -161,6 +155,7 @@ private:
     std::condition_variable idle_cv_;        ///< wait() waits here
     std::deque<std::shared_ptr<Job>> queue_;
     std::size_t running_ = 0;
+    std::size_t answering_ = 0;              ///< connections between reading a request and sending its answer
     std::vector<int> connection_fds_;
     ServerCounters counters_;
 

@@ -1,5 +1,5 @@
 // Once-per-transport cache of Algorithm 1's codes, candidate dictionaries,
-// and per-round derived state (see DESIGN.md sections 2 and 12).
+// and per-round derived state (see DESIGN.md section 2).
 //
 // The paper's codes C, D and CD are public and fixed: a transport's decoders
 // use the same three code objects for every simulated round, and every
@@ -17,24 +17,13 @@
 //     fault-free phase schedules, decoy material, and the phase-2 candidate
 //     dictionary with all distance-code encodings precomputed.
 //
-// Three construction paths share one representation (DESIGN.md section 12):
-// a fresh build computes the candidate index from the graph; a *delta* build
-// copies every candidate row whose two-hop neighborhood an edit cannot have
-// touched from a base codebook (and shares the base's code triple when the
-// beep-code geometry — a function of max degree, not n — is unchanged); an
-// *mmap* build borrows the index from a validated nb-codebook/v1 file
-// (sim/codebook_io.h) without copying it. All three are fingerprint-identical
-// by construction, and the property tests pin that.
-//
-// Per-round state is delta-updated too: when a round is rebuilt under the
-// same nonce (only the messages changed — the topology-churn and sweep-job
-// shape), the codewords, 1-positions, decoy material, and every unchanged
-// entry's encoding are copied from the previous round (or from the delta
-// base's round), and the word-major SoA dictionary is patched column-wise
-// instead of re-transposed. Copying is sound because every reused quantity
-// is a pure function of (transport_seed, nonce, entry id) or of that entry's
-// unchanged message — the copied value equals the regenerated one bit for
-// bit.
+// There is one way to build either layer: compute it. The candidate index is
+// computed from the graph (or, through a ShardView, from one shard's closure
+// graph), and every round is derived from scratch from (messages, nonce):
+// the codes are public and fixed and every per-round quantity is a pure
+// function of the seeds and that key, so a round is never patched from an
+// earlier one. The only state carried across rounds is the messages-keyed
+// memo of the node-payload phase-2 decode gaps (all_nodes only).
 //
 // Rounds are handed out as shared_ptr<const Round>: simulate_round keeps its
 // round alive for the duration of the call, so concurrent callers with
@@ -60,8 +49,6 @@
 #include "sim/params.h"
 
 namespace nb {
-
-class CodebookFile;
 
 class Codebook {
 public:
@@ -93,43 +80,17 @@ public:
     /// Shard-view build: `graph` is the shard's local closure graph.
     Codebook(const Graph& graph, const SimulationParams& params, ShardView view);
 
-    /// Delta build for topology churn: `graph` is an edited version of
-    /// `base.graph()` (appended nodes, added/removed edges; removal is
-    /// modeled as isolating a node). Candidate rows whose two-hop
-    /// neighborhood the edit cannot have reached are copied from `base`, the
-    /// code triple is shared when the max degree (and so the beep-code
-    /// length) is unchanged, and the base's cached round seeds same-nonce
-    /// round rebuilds. Falls back to a full rebuild — still through this
-    /// constructor, counted in stats().delta_full_rebuilds — when the node
-    /// count shrinks. Requires an unsharded base and codebook-identical
-    /// params (everything CodebookCache keys on except the graph); the
-    /// result is fingerprint-identical to a fresh build by construction.
-    Codebook(const Graph& graph, const SimulationParams& params, const Codebook& base);
-
-    /// Mmap-backed build: borrow the candidate index from a validated
-    /// nb-codebook/v1 file instead of recomputing it. The file's identity
-    /// header (graph digests, node count, code params) must match (graph,
-    /// params) — mismatches throw precondition_error. The mapping is kept
-    /// alive for this codebook's lifetime.
-    Codebook(const Graph& graph, const SimulationParams& params,
-             std::shared_ptr<const CodebookFile> file);
-
-    /// Mmap-backed shard-view build (the file additionally pins the view
-    /// digest).
-    Codebook(const Graph& graph, const SimulationParams& params, ShardView view,
-             std::shared_ptr<const CodebookFile> file);
-
     /// The view this codebook was built through, or nullptr when unsharded.
     const ShardView* shard_view() const noexcept {
         return view_.has_value() ? &*view_ : nullptr;
     }
 
-    const BeepCode& beep_code() const noexcept { return combined_->beep(); }
-    const DistanceCode& distance_code() const noexcept { return combined_->distance(); }
-    const CombinedCode& combined_code() const noexcept { return *combined_; }
+    const BeepCode& beep_code() const noexcept { return combined_.beep(); }
+    const DistanceCode& distance_code() const noexcept { return combined_.distance(); }
+    const CombinedCode& combined_code() const noexcept { return combined_; }
 
     /// Beep-code length b for this graph's maximum degree.
-    std::size_t beep_length() const noexcept { return combined_->length(); }
+    std::size_t beep_length() const noexcept { return combined_.length(); }
 
     /// Everything one round derives from (messages, nonce). Candidate arrays
     /// are indexed by "entry": entries 0..n-1 are the nodes' payloads, entry
@@ -201,19 +162,6 @@ public:
     std::span<const std::uint32_t> candidate_entries(NodeId v) const;
     std::size_t node_candidate_count(NodeId v) const;
 
-    /// The candidate index as flat CSR — row r of candidate_row_count()
-    /// spans candidate_entry_data()[candidate_offsets()[r] ..
-    /// candidate_offsets()[r+1]] (one row per node under two_hop, one shared
-    /// row otherwise). This is exactly the payload nb-codebook/v1 serializes
-    /// and an mmap build borrows in place.
-    std::span<const std::uint64_t> candidate_offsets() const noexcept { return offsets_; }
-    std::span<const std::uint32_t> candidate_entry_data() const noexcept { return entries_; }
-    std::size_t candidate_row_count() const noexcept { return offsets_.size() - 1; }
-
-    /// The nb-codebook/v1 mapping backing the candidate index, or nullptr
-    /// for an owned (fresh or delta) index.
-    const CodebookFile* backing_file() const noexcept { return file_.get(); }
-
     std::size_t decoy_count() const noexcept { return params_.decoy_count; }
     const SimulationParams& params() const noexcept { return params_; }
     const Graph& graph() const noexcept { return graph_; }
@@ -223,66 +171,40 @@ public:
     /// computed from the code dimensions (codes themselves are procedural —
     /// seeds and dimensions). An estimate rather than a measurement so the
     /// CodebookCache's byte-accounted eviction is a pure function of the
-    /// build parameters, independent of allocator, thread interleaving, and
-    /// of whether the index is owned or mmap-borrowed (see DESIGN.md
-    /// section 9).
+    /// build parameters, independent of allocator and thread interleaving
+    /// (see DESIGN.md section 9).
     std::size_t memory_bytes() const;
 
     /// Order-sensitive structural digest of everything two transports would
     /// share through this codebook: the code geometry, sampled codewords and
     /// distance-code encodings (pure functions of the code seeds), every
     /// node's candidate entry list, and the key-relevant parameters. Two
-    /// codebooks with equal fingerprints decode bit-identically; the cache,
-    /// delta, and serialization property tests all compare against a fresh
-    /// private build through this digest. Stats-neutral and thread-safe.
+    /// codebooks with equal fingerprints decode bit-identically; the cache
+    /// property tests compare a shared build against a fresh private build
+    /// through this digest. Stats-neutral and thread-safe.
     std::uint64_t fingerprint() const;
 
     /// Construction counters for the once-per-transport contract.
     struct Stats {
-        std::size_t code_builds = 0;      ///< code-triple constructions (0 when
-                                          ///< shared from a delta base)
+        std::size_t code_builds = 0;      ///< code-triple constructions
         std::size_t round_builds = 0;     ///< distinct (messages, nonce) rebuilds
         std::size_t codeword_builds = 0;  ///< beep codewords generated in total
         std::size_t payload_encodes = 0;  ///< distance-code encodings generated
-
-        // Delta-path efficacy counters (all zero on fresh and mmap builds).
-        std::size_t dictionary_rows_built = 0;   ///< candidate rows computed
-        std::size_t dictionary_rows_reused = 0;  ///< candidate rows copied from a base
-        std::size_t delta_full_rebuilds = 0;     ///< delta requests that fell back
-        std::size_t codeword_reuses = 0;         ///< codewords copied from a donor round
-        std::size_t payload_encode_reuses = 0;   ///< encodings copied from a donor round
     };
     Stats stats() const;
 
 private:
     Codebook(const Graph& graph, const SimulationParams& params,
-             std::optional<ShardView> view, std::shared_ptr<const CodebookFile> file);
-
-    /// Per-build generation/reuse tally build_round reports back to round()
-    /// so the stats counters move exactly with the work done.
-    struct BuildTally {
-        std::size_t codewords_generated = 0;
-        std::size_t codewords_reused = 0;
-        std::size_t encodes_generated = 0;
-        std::size_t encodes_reused = 0;
-    };
+             std::optional<ShardView> view);
 
     std::shared_ptr<Round> build_round(const std::vector<std::optional<Bitstring>>& messages,
-                                       std::uint64_t nonce,
-                                       std::shared_ptr<const Round> donor,
-                                       BuildTally& tally) const;
+                                       std::uint64_t nonce) const;
 
     void build_candidate_index();
-    void build_candidate_index_delta(const Codebook& base);
-    void adopt_candidate_index();  ///< borrow the CSR from file_
     std::span<const std::uint32_t> candidate_row(std::size_t r) const noexcept {
-        return entries_.subspan(offsets_[r], offsets_[r + 1] - offsets_[r]);
+        return std::span<const std::uint32_t>(entries_).subspan(
+            offsets_[r], offsets_[r + 1] - offsets_[r]);
     }
-
-    /// The params fields a Codebook is a function of (the CodebookCache key
-    /// fields minus the graph) — the compatibility contract for delta builds
-    /// and serialized-index adoption.
-    static bool same_codebook_params(const SimulationParams& a, const SimulationParams& b);
 
     /// The node-payload block of the phase-2 decode radii (entries 0..n:
     /// payloads + null) depends only on `messages`, not the nonce, so a
@@ -305,21 +227,13 @@ private:
     const Graph& graph_;
     SimulationParams params_;
     std::optional<ShardView> view_;  ///< before combined_: its degree sizes the code
-    std::shared_ptr<const CombinedCode> combined_;  ///< shared across delta generations
+    CombinedCode combined_;
 
-    /// Candidate entry index, flat CSR. Owned builds fill owned_* and point
-    /// the spans at them; mmap builds leave owned_* empty and point the
-    /// spans into file_'s mapping (file_ keeps it alive).
-    std::vector<std::uint64_t> owned_offsets_;
-    std::vector<std::uint32_t> owned_entries_;
-    std::span<const std::uint64_t> offsets_;
-    std::span<const std::uint32_t> entries_;
-    std::shared_ptr<const CodebookFile> file_;
-
-    /// The delta base's cached round (same code geometry guaranteed at
-    /// capture): a same-nonce donor for this codebook's first rebuilds, so
-    /// churn steps that keep the nonce pay only for what changed.
-    std::shared_ptr<const Round> donor_round_;
+    /// Candidate entry index, flat CSR: row r spans
+    /// entries_[offsets_[r] .. offsets_[r + 1]] (one row per node under
+    /// two_hop, one shared row otherwise).
+    std::vector<std::uint64_t> offsets_;
+    std::vector<std::uint32_t> entries_;
 
     mutable std::mutex mutex_;
     mutable std::shared_ptr<const Round> cached_;

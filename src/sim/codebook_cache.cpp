@@ -1,20 +1,12 @@
 #include "sim/codebook_cache.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "common/error.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "graph/algorithms.h"
-#include "sim/codebook_io.h"
 
 namespace nb {
 
@@ -26,13 +18,6 @@ namespace {
 NB_FAILPOINT_DEFINE(fp_cache_insert, "cache.insert");
 // Fired before each LRU eviction (count- or byte-pressure).
 NB_FAILPOINT_DEFINE(fp_cache_evict, "cache.evict");
-
-std::string key_file_name(std::uint64_t key_hash) {
-    char name[32];
-    std::snprintf(name, sizeof name, "cb-%016llx.nbc",
-                  static_cast<unsigned long long>(key_hash));
-    return name;
-}
 
 }  // namespace
 
@@ -159,35 +144,6 @@ std::shared_ptr<const SharedCodebook> CodebookCache::acquire(
     return acquire_impl(graph, params, &view);
 }
 
-void CodebookCache::set_directory(const std::string& directory) {
-    if (!directory.empty()) {
-        if (::mkdir(directory.c_str(), 0755) != 0 && errno != EEXIST) {
-            throw precondition_error("CodebookCache: cannot create directory '" + directory +
-                                     "': " + std::strerror(errno));
-        }
-        // Recovery, mirroring the ArtifactStore: `.tmp` debris is a durable-
-        // but-unpublished write from a crashed saver — never loadable, always
-        // safe to drop. Torn finals need no sweep; CodebookFile::map rejects
-        // them and the next build atomically overwrites.
-        if (DIR* dir = ::opendir(directory.c_str())) {
-            while (const dirent* entry = ::readdir(dir)) {
-                const std::string file = entry->d_name;
-                if (file.size() > 4 && file.compare(file.size() - 4, 4, ".tmp") == 0) {
-                    ::unlink((directory + "/" + file).c_str());
-                }
-            }
-            ::closedir(dir);
-        }
-    }
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    directory_ = directory;
-}
-
-std::string CodebookCache::directory() const {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    return directory_;
-}
-
 std::shared_ptr<const SharedCodebook> CodebookCache::acquire_impl(
     const Graph& graph, const SimulationParams& params, const Codebook::ShardView* view) {
     const Key key = make_key(graph, params, view != nullptr ? view->digest() : 0);
@@ -202,49 +158,17 @@ std::shared_ptr<const SharedCodebook> CodebookCache::acquire_impl(
         }
     }
 
-    // Miss: resolve while holding the shard lock, so a concurrent lookup of
+    // Miss: build while holding the shard lock, so a concurrent lookup of
     // the same key waits here and then hits — exactly-once construction.
-    // With a warm-start directory set, a serialized index is mmap-loaded
-    // instead of rebuilt (a disk_load, not a build); the file's identity
-    // header re-verifies the full key, so a stale file or a key-hash
-    // collision falls back to a fresh build that then overwrites it.
-    std::shared_ptr<const SharedCodebook> built;
-    std::string disk_path;
-    if (const std::string dir = directory(); !dir.empty()) {
-        disk_path = dir + "/" + key_file_name(key.hash());
-        if (auto file = CodebookFile::map(disk_path)) {
-            try {
-                built = view != nullptr
-                            ? std::make_shared<const SharedCodebook>(
-                                  graph, canonical_params(params), *view, std::move(file))
-                            : std::make_shared<const SharedCodebook>(
-                                  graph, canonical_params(params), std::move(file));
-                ++shard.disk_loads;
-            } catch (const precondition_error&) {
-                built = nullptr;  // identity mismatch: rebuild below
-            }
-        }
-    }
-    if (built == nullptr) {
-        // The build counter moves *after* construction: a build that throws
-        // (allocation failure, injected fault) did not produce a cached
-        // codebook, and a retried job must observe the same counters as a
-        // never-failed one.
-        built = view != nullptr
-                    ? std::make_shared<const SharedCodebook>(graph, canonical_params(params),
-                                                             *view)
-                    : std::make_shared<const SharedCodebook>(graph, canonical_params(params));
-        ++shard.builds;
-        if (!disk_path.empty()) {
-            try {
-                save_codebook(built->codebook(), disk_path);
-                ++shard.disk_saves;
-            } catch (const precondition_error&) {
-                // Best-effort: a full disk or unwritable directory costs the
-                // warm start, never the build in hand.
-            }
-        }
-    }
+    // The build counter moves *after* construction: a build that throws
+    // (allocation failure, injected fault) did not produce a cached
+    // codebook, and a retried job must observe the same counters as a
+    // never-failed one.
+    const std::shared_ptr<const SharedCodebook> built =
+        view != nullptr
+            ? std::make_shared<const SharedCodebook>(graph, canonical_params(params), *view)
+            : std::make_shared<const SharedCodebook>(graph, canonical_params(params));
+    ++shard.builds;
 
     const std::size_t entry_bytes = built->memory_bytes();
     if (shard_byte_cap_ != 0 && entry_bytes > shard_byte_cap_) {
@@ -322,8 +246,6 @@ CodebookCache::Stats CodebookCache::stats() const {
         total.evictions_capacity += shard->evictions_capacity;
         total.bytes_resident += shard->bytes;
         total.oversize_uncached += shard->oversize_uncached;
-        total.disk_loads += shard->disk_loads;
-        total.disk_saves += shard->disk_saves;
     }
     total.coloring_hits = coloring_hits_;
     total.coloring_builds = coloring_builds_;
@@ -341,8 +263,6 @@ void CodebookCache::clear() {
         shard->evictions = 0;
         shard->evictions_capacity = 0;
         shard->oversize_uncached = 0;
-        shard->disk_loads = 0;
-        shard->disk_saves = 0;
     }
     std::lock_guard<std::mutex> lock(coloring_mutex_);
     colorings_.clear();

@@ -10,6 +10,11 @@
 // two-hop-dictionary construction three times; now concurrent jobs sharing
 // the build parameters get one build and N-1 hits.
 //
+// A miss has exactly one resolution: build the Codebook from the graph
+// (Codebook's fresh or shard-view constructor). Nothing outlives the
+// process: a cold start rebuilds (DESIGN.md section 12 records why the
+// on-disk tier was retired).
+//
 // Structure: a fixed number of shards, each an LRU list of
 // (key, shared_ptr<SharedCodebook>) pairs under its own mutex. The shard
 // mutex is held *across a miss's build*: a concurrent lookup of the same key
@@ -45,7 +50,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -65,15 +69,6 @@ public:
     SharedCodebook(const Graph& graph, const SimulationParams& params,
                    Codebook::ShardView view)
         : graph_(graph), codebook_(graph_, params, std::move(view)) {}
-
-    /// Mmap-backed builds (sim/codebook_io.h): the candidate index is
-    /// borrowed from the mapped file, which the codebook keeps alive.
-    SharedCodebook(const Graph& graph, const SimulationParams& params,
-                   std::shared_ptr<const CodebookFile> file)
-        : graph_(graph), codebook_(graph_, params, std::move(file)) {}
-    SharedCodebook(const Graph& graph, const SimulationParams& params,
-                   Codebook::ShardView view, std::shared_ptr<const CodebookFile> file)
-        : graph_(graph), codebook_(graph_, params, std::move(view), std::move(file)) {}
 
     const Codebook& codebook() const noexcept { return codebook_; }
     const Graph& graph() const noexcept { return graph_; }
@@ -122,18 +117,6 @@ public:
     /// expensive per-transport setup), as a copy the caller owns.
     std::vector<std::size_t> coloring(const Graph& graph);
 
-    /// Enable (or, with "", disable) the warm-start directory: every miss
-    /// first tries to mmap-load `<dir>/cb-<key-hash>.nbc` (counted as a
-    /// disk_load, not a build), and every completed build is serialized
-    /// there best-effort (nb-codebook/v1, atomic-rename durable), so the
-    /// next process cold-starts warm. The directory is created if missing
-    /// and `.tmp` debris from a crashed writer is removed, mirroring the
-    /// ArtifactStore's recovery. Files whose identity header does not match
-    /// the key (stale graph, hash collision) are ignored and overwritten by
-    /// the fresh build's save.
-    void set_directory(const std::string& directory);
-    std::string directory() const;
-
     struct Stats {
         std::uint64_t hits = 0;       ///< codebook lookups served from cache
         std::uint64_t builds = 0;     ///< *successful* Codebook constructions
@@ -143,19 +126,16 @@ public:
         std::uint64_t evictions_capacity = 0;  ///< codebooks dropped by the byte cap
         std::uint64_t bytes_resident = 0;      ///< byte-accounted footprint now cached
         std::uint64_t oversize_uncached = 0;   ///< builds too large to cache at all
-        std::uint64_t disk_loads = 0;   ///< misses served by an mmap-loaded file
-        std::uint64_t disk_saves = 0;   ///< builds serialized to the directory
         std::uint64_t coloring_hits = 0;
         std::uint64_t coloring_builds = 0;
         std::uint64_t coloring_evictions = 0;
 
-        /// hits / lookups (a disk load is a lookup that was neither a hit
-        /// nor a build), 0 when nothing has been looked up — the one derived
-        /// figure every consumer (nb_serve's `stats` response, nb_load's
-        /// BENCH_serve.json, the bench console reports) wants, so it is
-        /// computed here once instead of ad-hoc at each call site.
+        /// hits / (hits + builds), 0 when nothing has been looked up — the
+        /// one derived figure every consumer (nb_serve's `stats` response,
+        /// nb_load's BENCH_serve.json, the bench console reports) wants, so
+        /// it is computed here once instead of ad-hoc at each call site.
         double hit_rate() const noexcept {
-            const std::uint64_t lookups = hits + builds + disk_loads;
+            const std::uint64_t lookups = hits + builds;
             return lookups == 0 ? 0.0
                                 : static_cast<double>(hits) / static_cast<double>(lookups);
         }
@@ -225,8 +205,6 @@ private:
         std::uint64_t evictions = 0;
         std::uint64_t evictions_capacity = 0;
         std::uint64_t oversize_uncached = 0;
-        std::uint64_t disk_loads = 0;
-        std::uint64_t disk_saves = 0;
     };
 
     /// A coloring entry is keyed by the digest pair — no graph copy.
@@ -252,9 +230,6 @@ private:
     std::size_t shard_capacity_;
     std::size_t shard_byte_cap_;  ///< max_bytes / shard_count; 0 = unlimited
     std::vector<std::unique_ptr<Shard>> shards_;
-
-    mutable std::mutex directory_mutex_;
-    std::string directory_;  ///< warm-start dir; empty = disk path disabled
 
     mutable std::mutex coloring_mutex_;
     std::list<ColoringEntry> colorings_;  ///< most recently used first

@@ -6,17 +6,29 @@
 // on the worker-thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <ostream>
 
 #include "baselines/tdma_transport.h"
+#include "common/bitslice.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/word_soa.h"
 #include "graph/generators.h"
+#include "sim/codebook.h"
 #include "sim/codebook_cache.h"
 #include "sim/params.h"
 #include "sim/transport.h"
 
 namespace nb {
+
+// Names the policy in test output (and so in the ctest name of each
+// SameNonceRebuild instance) instead of its raw bytes; found by ADL.
+void PrintTo(DictionaryPolicy policy, std::ostream* os) {
+    *os << (policy == DictionaryPolicy::two_hop ? "two_hop" : "all_nodes");
+}
+
 namespace {
 
 std::vector<std::optional<Bitstring>> make_messages(const Graph& graph, std::size_t bits,
@@ -310,6 +322,90 @@ TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
     EXPECT_EQ(stats.round_builds, 2u);
     EXPECT_EQ(stats.codeword_builds, 2 * (n + decoys));
 }
+
+void expect_equal_slices(const BitsliceMatrix& a, const BitsliceMatrix& b) {
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.columns(), b.columns());
+    ASSERT_EQ(a.lane_words(), b.lane_words());
+    for (std::size_t p = 0; p < a.rows(); ++p) {
+        EXPECT_TRUE(std::ranges::equal(a.row(p), b.row(p))) << "row " << p;
+    }
+    for (std::size_t c = 0; c < a.columns(); ++c) {
+        EXPECT_EQ(a.column_weight(c), b.column_weight(c)) << "column " << c;
+    }
+}
+
+void expect_equal_soa(const WordSoa& a, const WordSoa& b) {
+    ASSERT_EQ(a.count(), b.count());
+    ASSERT_EQ(a.stride(), b.stride());
+    ASSERT_EQ(a.words(), b.words());
+    ASSERT_EQ(a.bits(), b.bits());
+    const std::size_t size = a.words() * a.stride();
+    EXPECT_TRUE(std::equal(a.data(), a.data() + size, b.data()));
+}
+
+class SameNonceRebuild : public ::testing::TestWithParam<DictionaryPolicy> {};
+
+TEST_P(SameNonceRebuild, MatchesFreshCodebookFieldByField) {
+    // A codebook that already built round(A, k) rebuilds round(B, k) from
+    // scratch: the result must equal a fresh codebook's round(B, k) in every
+    // field, and cost the full n + decoys codewords again.
+    Rng rng(0x31);
+    const std::size_t n = 64;
+    const Graph graph = make_random_regular(n, 6, rng);
+    SimulationParams params;
+    params.message_bits = 8;
+    params.c_eps = 4;
+    params.decoy_count = 4;
+    params.dictionary = GetParam();
+    // Low enough that all_nodes builds the bitslice matrix and the SoA
+    // dictionary for this 68-candidate entry space.
+    params.bitslice_min_candidates = 64;
+    const Codebook book(graph, params);
+
+    auto messages_a = make_messages(graph, params.message_bits, 1, /*silent_fraction=*/0.0);
+    auto messages_b = messages_a;
+    messages_b[10] = Bitstring::random(rng, params.message_bits);  // one changed
+    messages_b[11].reset();                                        // one went silent
+
+    const std::uint64_t nonce = 7;
+    (void)book.round(messages_a, nonce);
+    const std::size_t codewords_after_first = book.stats().codeword_builds;
+    const auto rebuilt = book.round(messages_b, nonce);
+
+    // Reference: a codebook that never saw messages_a.
+    const Codebook fresh(graph, params);
+    const auto reference = fresh.round(messages_b, nonce);
+
+    EXPECT_EQ(rebuilt->inputs, reference->inputs);
+    EXPECT_EQ(rebuilt->payloads, reference->payloads);
+    EXPECT_EQ(rebuilt->codewords, reference->codewords);
+    EXPECT_EQ(rebuilt->one_positions, reference->one_positions);
+    EXPECT_EQ(rebuilt->decoy_inputs, reference->decoy_inputs);
+    EXPECT_EQ(rebuilt->decoy_codewords, reference->decoy_codewords);
+    EXPECT_EQ(rebuilt->decoy_one_positions, reference->decoy_one_positions);
+    EXPECT_EQ(rebuilt->candidate_messages, reference->candidate_messages);
+    EXPECT_EQ(rebuilt->candidate_encoded, reference->candidate_encoded);
+    EXPECT_EQ(rebuilt->candidate_tails, reference->candidate_tails);
+    EXPECT_EQ(rebuilt->decode_gaps, reference->decode_gaps);
+    EXPECT_EQ(rebuilt->combined_schedules, reference->combined_schedules);
+    EXPECT_EQ(rebuilt->phase1_beeps, reference->phase1_beeps);
+    EXPECT_EQ(rebuilt->phase2_beeps, reference->phase2_beeps);
+    EXPECT_EQ(rebuilt->nonce, reference->nonce);
+    EXPECT_EQ(rebuilt->messages, reference->messages);
+    const bool sliced = GetParam() == DictionaryPolicy::all_nodes;
+    EXPECT_EQ(rebuilt->codeword_slices.empty(), !sliced);
+    EXPECT_EQ(rebuilt->candidate_encoded_soa.empty(), !sliced);
+    EXPECT_EQ(rebuilt->decode_gaps.empty(), !sliced);
+    expect_equal_slices(rebuilt->codeword_slices, reference->codeword_slices);
+    expect_equal_soa(rebuilt->candidate_encoded_soa, reference->candidate_encoded_soa);
+
+    EXPECT_EQ(book.stats().codeword_builds, codewords_after_first + n + params.decoy_count);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, SameNonceRebuild,
+                         ::testing::Values(DictionaryPolicy::two_hop,
+                                           DictionaryPolicy::all_nodes));
 
 TEST(TdmaEquivalence, ThreadCountDoesNotChangeOutputs) {
     Rng rng(11);
