@@ -16,7 +16,10 @@
 //
 // The steady-state allocation column counts operator-new calls (see
 // alloc_hooks.h) during a warm simulate_rounds_into batch over a cached
-// codebook round — the zero-copy arena contract says it is exactly 0.
+// codebook round — the zero-copy arena contract says it is exactly 0 at
+// every worker count. The transports run on the default pool (one worker
+// per hardware thread); the JSON records both counts, since a baseline
+// recorded at one core count exercises a different schedule than another.
 //
 // The VERDICT is computed from the measured rows: each of its three claims
 // (batched beats single, vector kernels beat scalar, zero steady-state
@@ -25,12 +28,14 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_hooks.h"
 #include "bench_util.h"
 #include "common/math_util.h"
 #include "common/simd/simd.h"
+#include "common/thread_pool.h"
 #include "sim/codebook_cache.h"
 #include "sim/transport.h"
 
@@ -185,6 +190,10 @@ int main() {
                        Table::num(m.steady_allocs)});
     }
     table.print(std::cout, "simulate_round loop vs simulate_rounds_into batch");
+    // The transports run on the default pool: one worker per hardware thread.
+    const std::size_t threads = ThreadPool::resolve_worker_count(SimulationParams{}.threads);
+    const std::size_t cores = std::thread::hardware_concurrency();
+    std::cout << "threads: " << threads << ", hardware_concurrency: " << cores << "\n\n";
 
     // Cache pressure over the whole bench: every transport above acquired its
     // codebook through the process-wide cache, so byte-capacity evictions or
@@ -204,6 +213,8 @@ int main() {
         json.kv("bench", "transport_throughput");
         json.kv("policy", "all_nodes");
         json.kv("epsilon", 0.1);
+        json.kv("threads", threads);
+        json.kv("hardware_concurrency", cores);
         // The dispatch decision on this machine: what auto_best resolves to
         // and which kernel sets were available to choose from.
         json.key("dispatch").begin_object();

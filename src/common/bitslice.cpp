@@ -1,5 +1,6 @@
 #include "common/bitslice.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 
@@ -84,6 +85,20 @@ void BitsliceMatrix::prepare_scratch(std::size_t limit, BitsliceScratch& scratch
     scratch.plane_count_ = plane_count;
     scratch.bias_epoch_ = epoch_;
     scratch.bias_limit_ = limit;
+}
+
+void BitsliceMatrix::reserve_scratch(BitsliceScratch& scratch) const {
+    // prepare_scratch's plane count at its loosest limit (1): enough planes
+    // for the heaviest column's threshold.
+    std::size_t max_weight = 1;
+    for (const auto weight : weights_) {
+        max_weight = std::max<std::size_t>(max_weight, weight);
+    }
+    const std::size_t plane_words = std::bit_width(max_weight) * lane_words_;
+    scratch.bias_.reserve(plane_words);
+    scratch.planes_.reserve(plane_words);
+    scratch.low_.reserve(4 * lane_words_);
+    scratch.always_.reserve(lane_words_);
 }
 
 void BitsliceMatrix::and_not_below(const Bitstring& other, std::size_t limit,

@@ -98,6 +98,11 @@ public:
                        std::vector<std::uint64_t>& accept,
                        simd::Kernel kernel = simd::Kernel::auto_best) const;
 
+    /// Reserve `scratch` for and_not_below on this matrix at any limit, so
+    /// that call allocates nothing. Lets a pool size every worker's scratch
+    /// before a parallel loop, whichever worker later runs the call.
+    void reserve_scratch(BitsliceScratch& scratch) const;
+
 private:
     void prepare_scratch(std::size_t limit, BitsliceScratch& scratch) const;
 

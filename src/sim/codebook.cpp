@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/thread_pool.h"
 
 namespace nb {
 
@@ -63,6 +64,19 @@ void append_two_hop_set(const Graph& graph, NodeId v, std::vector<std::uint32_t>
     std::sort(entries.begin() + static_cast<std::ptrdiff_t>(begin), entries.end());
 }
 
+/// fn(index) for every index in [0, count): on `pool` when given one,
+/// otherwise serially on the calling thread.
+template <typename Fn>
+void for_each_index(ThreadPool* pool, std::size_t count, const Fn& fn) {
+    if (pool == nullptr) {
+        for (std::size_t index = 0; index < count; ++index) {
+            fn(index);
+        }
+        return;
+    }
+    pool->parallel_for(count, [&fn](std::size_t, std::size_t index) { fn(index); });
+}
+
 }  // namespace
 
 std::uint64_t Codebook::ShardView::digest() const {
@@ -117,10 +131,13 @@ void Codebook::build_candidate_index() {
         offsets_.reserve(n + 1);
         for (NodeId v = 0; v < n; ++v) {
             append_two_hop_set(graph_, v, entries_);
+            max_node_candidates_ =
+                std::max<std::size_t>(max_node_candidates_, entries_.size() - offsets_.back());
             entries_.insert(entries_.end(), tail.begin(), tail.end());
             offsets_.push_back(entries_.size());
         }
     } else {
+        max_node_candidates_ = n;
         entries_.reserve(n + tail.size());
         for (NodeId u = 0; u < n; ++u) {
             entries_.push_back(u);
@@ -169,7 +186,8 @@ std::size_t Codebook::node_candidate_count(NodeId v) const {
 }
 
 std::shared_ptr<const Codebook::Round> Codebook::round(
-    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce) const {
+    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
+    ThreadPool* pool) const {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (cached_ != nullptr && cached_->nonce == nonce && cached_->messages == messages) {
@@ -178,7 +196,7 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
     }
     // Build outside the lock: rebuilds are the expensive path and concurrent
     // callers with distinct keys must not serialize on each other.
-    std::shared_ptr<const Round> fresh = build_round(messages, nonce);
+    std::shared_ptr<const Round> fresh = build_round(messages, nonce, pool);
     const std::size_t owned_nodes = view_.has_value() ? view_->owned_count : graph_.node_count();
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -191,7 +209,8 @@ std::shared_ptr<const Codebook::Round> Codebook::round(
 }
 
 std::shared_ptr<Codebook::Round> Codebook::build_round(
-    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce) const {
+    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
+    ThreadPool* pool) const {
     const std::size_t n = graph_.node_count();
     require(messages.size() == n, "Codebook: one message slot per node");
 
@@ -214,60 +233,61 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
         return view_.has_value() ? view_->global_ids[v] : v;
     };
 
+    // Every per-index quantity below comes from its own node- (or decoy-)
+    // keyed rng stream, so each loop writes presized per-index slots and runs
+    // on `pool` when given one: outputs are identical for any worker count.
+    // The loops keep one kind of data each, so a serial build allocates each
+    // array's elements contiguously.
+    const std::size_t decoys = params_.decoy_count;
+    const std::size_t entry_count = n + 1 + decoys;
+
     // Per-node payloads and fresh inputs r_v.
     round->inputs.resize(n);
-    round->payloads.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-        round->payloads.push_back(make_payload(messages[v], params_.message_bits));
-    }
-    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
-        round->inputs[v] =
-            round->rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v))).next_u64();
-    }
+    round->payloads.resize(n);
+    for_each_index(pool, n, [&](std::size_t v) {
+        round->payloads[v] = make_payload(messages[v], params_.message_bits);
+        if (v >= owned_lo && v < owned_hi) {
+            round->inputs[v] =
+                round->rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v))).next_u64();
+        }
+    });
 
-    // Decoys: inputs and payloads drawn independently of everything heard —
-    // a function of the nonce alone.
-    std::vector<Bitstring> decoy_payloads;
-    round->decoy_inputs.resize(params_.decoy_count);
-    decoy_payloads.reserve(params_.decoy_count);
-    for (std::size_t i = 0; i < params_.decoy_count; ++i) {
+    // Decoys: inputs, payloads and codewords drawn independently of
+    // everything heard — a function of the nonce alone.
+    round->decoy_inputs.resize(decoys);
+    round->decoy_codewords.resize(decoys);
+    round->decoy_one_positions.resize(decoys);
+    round->candidate_messages.resize(entry_count);
+    for (std::size_t i = 0; i < decoys; ++i) {
         Rng decoy_rng = round->rng.derive(0x6465636fu, i);
         round->decoy_inputs[i] = decoy_rng.next_u64();
-        decoy_payloads.push_back(Bitstring::random(decoy_rng, payload_bits));
+        round->candidate_messages[n + 1 + i] = Bitstring::random(decoy_rng, payload_bits);
+        auto [codeword, positions] = beep.codeword_and_positions(round->decoy_inputs[i]);
+        round->decoy_codewords[i] = std::move(codeword);
+        round->decoy_one_positions[i] = std::move(positions);
     }
 
-    // Codewords C(r) with their 1-positions, for nodes and decoys alike.
+    // Codewords C(r_v) with their 1-positions, for the owned nodes.
     round->codewords.resize(n);
     round->one_positions.resize(n);
-    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
+    for_each_index(pool, owned_hi - owned_lo, [&](std::size_t i) {
+        const std::size_t v = owned_lo + i;
         auto [codeword, positions] = beep.codeword_and_positions(round->inputs[v]);
         round->codewords[v] = std::move(codeword);
         round->one_positions[v] = std::move(positions);
-    }
-    round->decoy_codewords.reserve(params_.decoy_count);
-    round->decoy_one_positions.reserve(params_.decoy_count);
-    for (const auto r : round->decoy_inputs) {
-        auto [codeword, positions] = beep.codeword_and_positions(r);
-        round->decoy_codewords.push_back(std::move(codeword));
-        round->decoy_one_positions.push_back(std::move(positions));
-    }
+    });
 
     // Phase-2 candidate dictionary over the entry space, encoded once.
-    const std::size_t entry_count = n + 1 + params_.decoy_count;
-    round->candidate_messages.reserve(entry_count);
-    for (NodeId v = 0; v < n; ++v) {
-        round->candidate_messages.push_back(round->payloads[v]);
-    }
-    round->candidate_messages.push_back(Bitstring(payload_bits));  // the null payload
-    for (auto& decoy : decoy_payloads) {
-        round->candidate_messages.push_back(std::move(decoy));
-    }
-    round->candidate_encoded.reserve(entry_count);
-    round->candidate_tails.reserve(entry_count);
-    for (const Bitstring& candidate : round->candidate_messages) {
-        round->candidate_encoded.push_back(distance.encode(candidate));
-        round->candidate_tails.push_back(candidate.tail(1));
-    }
+    for_each_index(pool, n, [&](std::size_t v) {
+        round->candidate_messages[v] = round->payloads[v];
+    });
+    round->candidate_messages[n] = Bitstring(payload_bits);  // the null payload
+    round->candidate_encoded.resize(entry_count);
+    round->candidate_tails.resize(entry_count);
+    for_each_index(pool, entry_count, [&](std::size_t e) {
+        round->candidate_encoded[e] = distance.encode(round->candidate_messages[e]);
+        round->candidate_tails[e] = round->candidate_messages[e].tail(1);
+    });
 
     // Bitsliced phase-1 matrix and phase-2 decode radii: only the all_nodes
     // policy scans dictionaries large enough to amortize them (see the
@@ -332,9 +352,12 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // totals count the owned nodes only — the transport sums them across
     // shards, each node counted by exactly its owner.
     round->combined_schedules.resize(n);
-    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
+    for_each_index(pool, owned_hi - owned_lo, [&](std::size_t i) {
+        const std::size_t v = owned_lo + i;
         round->combined_schedules[v] = Bitstring::scatter(
             beep.length(), round->one_positions[v], round->candidate_encoded[v]);
+    });
+    for (std::size_t v = owned_lo; v < owned_hi; ++v) {
         round->phase2_beeps += round->combined_schedules[v].count();
     }
     round->phase1_beeps = (owned_hi - owned_lo) * beep.weight();

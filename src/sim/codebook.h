@@ -50,6 +50,8 @@
 
 namespace nb {
 
+class ThreadPool;
+
 class Codebook {
 public:
     /// Builds the code triple and candidate entry index once. The graph must
@@ -151,9 +153,11 @@ public:
     /// (codewords, schedules, and dictionaries are what nodes *transmit*;
     /// the ChannelModel perturbs transcripts at hear time, from streams
     /// derived off round.rng by the engines), and the channel itself is
-    /// fixed per transport.
+    /// fixed per transport. A rebuild runs its per-node loops on `pool`
+    /// when given one (serially otherwise); every node's material comes
+    /// from its own node-keyed stream, so the Round is identical either way.
     std::shared_ptr<const Round> round(const std::vector<std::optional<Bitstring>>& messages,
-                                       std::uint64_t nonce) const;
+                                       std::uint64_t nonce, ThreadPool* pool = nullptr) const;
 
     /// Candidate entries node v's decoder scans, in dictionary order: the
     /// candidate node ids (sorted two-hop set or all nodes, per the policy),
@@ -161,6 +165,9 @@ public:
     /// node_candidate_count(v).
     std::span<const std::uint32_t> candidate_entries(NodeId v) const;
     std::size_t node_candidate_count(NodeId v) const;
+
+    /// The largest node_candidate_count over all nodes (decode scratch bound).
+    std::size_t max_node_candidate_count() const noexcept { return max_node_candidates_; }
 
     std::size_t decoy_count() const noexcept { return params_.decoy_count; }
     const SimulationParams& params() const noexcept { return params_; }
@@ -198,7 +205,7 @@ private:
              std::optional<ShardView> view);
 
     std::shared_ptr<Round> build_round(const std::vector<std::optional<Bitstring>>& messages,
-                                       std::uint64_t nonce) const;
+                                       std::uint64_t nonce, ThreadPool* pool) const;
 
     void build_candidate_index();
     std::span<const std::uint32_t> candidate_row(std::size_t r) const noexcept {
@@ -234,6 +241,7 @@ private:
     /// two_hop, one shared row otherwise).
     std::vector<std::uint64_t> offsets_;
     std::vector<std::uint32_t> entries_;
+    std::size_t max_node_candidates_ = 0;
 
     mutable std::mutex mutex_;
     mutable std::shared_ptr<const Round> cached_;

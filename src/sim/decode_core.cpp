@@ -26,6 +26,21 @@ void build_node_states_into(std::vector<NodeState>& state, std::size_t n,
     }
 }
 
+void reserve_workspace(const DecodeContext& ctx, DecodeWorkspace& ws) {
+    const Codebook& codebook = *ctx.codebook;
+    const Codebook::Round& rd = *ctx.round;
+    ws.heard1.reset(codebook.beep_length());
+    ws.heard2.reset(codebook.beep_length());
+    ws.gathered.reset(codebook.beep_code().weight());
+    ws.accepted_nodes.reserve(codebook.max_node_candidate_count());
+    ws.accepted_decoys.reserve(ctx.decoy_count);
+    ws.accept_mask.reserve(rd.codeword_slices.lane_words());
+    ws.distances.reserve(rd.candidate_encoded_soa.stride());
+    ws.sort_tmp.reserve(ctx.batch->message_words());
+    rd.codeword_slices.reserve_scratch(ws.slice_scratch);
+    ws.expected.reserve(ctx.graph->max_degree());
+}
+
 void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     const DecodeContext& c = ctx;
     const Codebook::Round& rd = *c.round;

@@ -47,9 +47,9 @@ void build_node_states_into(std::vector<NodeState>& state, std::size_t n,
                             const FaultModel& faults);
 
 /// Reusable per-worker scratch: transcript/gather buffers, acceptance lists,
-/// bitslice counters and ground-truth pointers. Lives in the batch scratch,
-/// so every buffer reaches steady-state size during the first round of the
-/// first batch and is never reallocated again.
+/// bitslice counters and ground-truth pointers. Lives in the batch scratch;
+/// reserve_workspace sizes every buffer for the round up front, so a warm
+/// workspace is never reallocated whichever nodes its worker decodes.
 struct DecodeWorkspace {
     Bitstring heard1;
     Bitstring heard2;
@@ -98,6 +98,12 @@ struct DecodeContext {
     bool bitsliced = false;
     simd::Kernel kernel = simd::Kernel::auto_best;
 };
+
+/// Size `ws` for decoding any node of ctx's round: b-bit transcripts, the
+/// codeword-weight gather, acceptance lists at their dictionary bounds, the
+/// bitslice and SoA scratch, and one record of sort space. Capacity only
+/// grows, so on a warm workspace this allocates nothing.
+void reserve_workspace(const DecodeContext& ctx, DecodeWorkspace& ws);
 
 /// Decode node `v` (a local id under sharding) on `worker`'s scratch:
 /// phase-1 acceptance, phase-2 nearest-entry decodes, delivery commit into

@@ -15,10 +15,12 @@
 // unsharded transport would have used, the output batch is bit-identical
 // to BeepTransport for any shard count and any worker count.
 //
-// What sharding buys: the per-round Codebook build (codeword sampling
-// dominates at large n) and the decode both run per shard on the pool, so
-// a round parallelizes k ways end to end — the unsharded transport builds
-// rounds on one thread (pipelined at most one round ahead).
+// What sharding buys: each shard builds and decodes only its own closure,
+// one shard per pool worker, so a round's working set is split k ways. The
+// unsharded transport runs the same per-node build and decode loops on its
+// pool over one global round. Shard builds call Codebook::round without a
+// pool: the shards already run in parallel, and a nested parallel_for would
+// run inline anyway.
 #pragma once
 
 #include <cstddef>

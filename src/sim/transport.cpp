@@ -1,7 +1,5 @@
 #include "sim/transport.h"
 
-#include <future>
-
 #include "beep/batch_engine.h"
 #include "common/cancel.h"
 #include "common/error.h"
@@ -88,32 +86,19 @@ void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
         }
     }
 
-    // Pipeline: while round i is decoding on the pool, a builder task
-    // derives round i+1's Codebook::Round (codewords, schedules, slices,
-    // radii) for its nonce. Builds are pure functions of (messages, nonce),
-    // so overlapping them with decoding cannot change any output. With a
-    // single worker the pipeline would only add synchronization, so the
-    // batch degenerates to build-then-decode per spec.
-    const auto build = [this](const RoundSpec& spec) {
-        return codebook_->round(*spec.messages, spec.nonce);
-    };
-    const bool pipelined = pool_->worker_count() > 1 && specs.size() > 1;
-    std::shared_ptr<const Codebook::Round> current = build(specs.front());
-    std::future<std::shared_ptr<const Codebook::Round>> next;
+    // Build, then decode, each round on the pool. Round boundary: a sweep
+    // job past its watchdog deadline (or an explicitly cancelled one)
+    // unwinds here rather than finishing the whole batch.
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        // Round boundary: a sweep job past its watchdog deadline (or an
-        // explicitly cancelled one) unwinds here rather than finishing the
-        // whole batch. The builder future, if in flight, is joined by its
-        // destructor during unwind, so no task outlives the call.
         cancel_poll();
-        if (pipelined && i + 1 < specs.size()) {
-            next = std::async(std::launch::async, build, std::cref(specs[i + 1]));
-        }
-        decode_round_into(*current, specs[i], i, batch);
-        if (i + 1 < specs.size()) {
-            current = pipelined ? next.get() : build(specs[i + 1]);
-        }
+        const std::shared_ptr<const Codebook::Round> round =
+            codebook_->round(*specs[i].messages, specs[i].nonce, pool_.get());
+        decode_round_into(*round, specs[i], i, batch);
     }
+    // Which worker claims which nodes is up to the scheduler, so any worker
+    // may take more of the next batch's records than it took of this one's.
+    // Level every arena now, outside the next batch, to hold all of them.
+    batch.level_arenas();
 }
 
 void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundSpec& spec,
@@ -198,6 +183,12 @@ void BeepTransport::decode_round_into(const Codebook::Round& round, const RoundS
     // this build/CPU (auto_best defers to NB_SIMD_KERNEL, then detection).
     ctx.kernel = simd::resolve_kernel(params_.simd_kernel);
 
+    // Size every worker's scratch for any node of this round before the
+    // loop, so a warm batch allocates nothing whichever nodes each worker
+    // ends up claiming.
+    for (std::size_t worker = 0; worker < pool_->worker_count(); ++worker) {
+        transport_detail::reserve_workspace(ctx, scratch.workspaces[worker]);
+    }
     pool_->parallel_for(n, [&ctx](std::size_t worker, std::size_t node) {
         transport_detail::decode_node(ctx, worker, static_cast<NodeId>(node));
     });

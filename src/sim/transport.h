@@ -69,9 +69,9 @@ struct TransportRound {
 
 /// One round of a batched simulation: the messages (non-owning and never
 /// null — implementations require() it per spec, and the pointee must
-/// outlive the simulate_rounds call, including the pipelined build of later
-/// rounds), the per-round nonce, and an optional fault model (nullptr =
-/// fault-free, otherwise also non-owning with the same lifetime contract).
+/// outlive the simulate_rounds call), the per-round nonce, and an optional
+/// fault model (nullptr = fault-free, otherwise also non-owning with the
+/// same lifetime contract).
 /// Sweeps typically share one messages vector across many specs and vary
 /// only the nonce.
 struct RoundSpec {
@@ -90,10 +90,9 @@ public:
     /// Simulate a batch of rounds, one result per spec, in spec order. This
     /// is the throughput path: per-spec setup (schedule validation, decode
     /// workspaces, engine state) is paid once per batch instead of once per
-    /// round, and implementations may overlap per-round precomputation with
-    /// the decoding of earlier rounds. Outputs are bit-identical to calling
-    /// simulate_round per spec — batching, like threading, only trades
-    /// wall-clock (see DESIGN.md section 5).
+    /// round. Outputs are bit-identical to calling simulate_round per spec —
+    /// batching, like threading, only trades wall-clock (see DESIGN.md
+    /// section 5).
     virtual std::vector<TransportRound> simulate_rounds(
         std::span<const RoundSpec> specs) const = 0;
 
@@ -126,9 +125,10 @@ public:
     /// messages land as fixed-stride records in per-worker arenas instead
     /// of per-node Bitstring vectors, and all decode scratch lives in the
     /// batch, so a reused batch at its steady-state high-water mark decodes
-    /// with zero heap allocations. One simulate_rounds_into call writes a
-    /// batch at a time; simulate_rounds is this plus the per-round
-    /// conversion.
+    /// with zero heap allocations at any worker count. Each round is built
+    /// (Codebook::round on this transport's pool), then decoded on the same
+    /// pool. One simulate_rounds_into call writes a batch at a time;
+    /// simulate_rounds is this plus the per-round conversion.
     void simulate_rounds_into(std::span<const RoundSpec> specs, TransportBatch& batch) const;
 
     /// Fault-injected variant: `faults` nodes misbehave as described by

@@ -1,5 +1,6 @@
 #include "sim/transport_batch.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -53,12 +54,27 @@ std::uint64_t TransportBatch::push_record(std::size_t worker) {
     std::size_t& used = arena_used_[worker];
     if (used + stride_ > arena.size()) {
         // Geometric growth to a per-batch high-water mark; later batches of
-        // the same workload never grow again.
-        arena.resize(std::max<std::size_t>({arena.size() * 2, used + stride_, 64}), 0);
+        // the same workload never grow again. Growth stays within capacity
+        // a levelled arena already holds.
+        std::size_t grown = std::max<std::size_t>({arena.size() * 2, used + stride_, 64});
+        if (used + stride_ <= arena.capacity()) {
+            grown = std::min(grown, arena.capacity());
+        }
+        arena.resize(grown, 0);
     }
     const std::uint64_t offset = used;
     used += stride_;
     return offset;
+}
+
+void TransportBatch::level_arenas() {
+    std::size_t total = 0;
+    for (const auto used : arena_used_) {
+        total += used;
+    }
+    for (auto& arena : arenas_) {
+        arena.reserve(total);
+    }
 }
 
 void TransportBatch::commit_node(std::size_t round, NodeId v, std::size_t worker,

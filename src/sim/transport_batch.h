@@ -19,9 +19,11 @@
 // Arenas and slot tables keep their capacity across simulate_rounds_into
 // calls: after the first batch of a steady-state workload reaches its
 // high-water mark, decoding performs no heap allocation at all (asserted by
-// the steady-state allocation tests). The batch is written by one
-// simulate_rounds_into call at a time (readers may inspect it between
-// calls); it is not a concurrent container.
+// the steady-state allocation tests). BeepTransport levels every worker's
+// arena to the whole batch's record count at the end of each batch, so the
+// high-water mark holds for any worker count, not just for one schedule.
+// The batch is written by one simulate_rounds_into call at a time (readers
+// may inspect it between calls); it is not a concurrent container.
 #pragma once
 
 #include <cstddef>
@@ -117,6 +119,11 @@ private:
     /// cursors). Called by simulate_rounds_into.
     void prepare(std::size_t rounds, std::size_t nodes, std::size_t message_bits,
                  std::size_t workers);
+
+    /// Reserve every worker arena to the records this batch holds across
+    /// all workers, so a same-shaped next batch grows no arena however its
+    /// nodes are scheduled. Called at the end of a batch, never inside one.
+    void level_arenas();
 
     /// Bump-allocate one record in `worker`'s arena; returns its offset.
     /// The pointer for writing must be re-derived from the offset (growth

@@ -420,26 +420,35 @@ TEST(TransportBatchRing, ReusedBatchMatchesSimulateRounds) {
 TEST(TransportBatchRing, SteadyStateDecodeAllocatesNothing) {
     // The zero-allocation contract of transport_batch.h: with the codebook
     // round cached (same messages + nonce), a warmed-up batch decode touches
-    // the allocator exactly zero times. Single worker keeps the pipelined
-    // std::async build machinery out of the loop; all_nodes below the
-    // crossover puts the measurement on the bitslice + SoA + arena path.
+    // the allocator exactly zero times — at one worker and at several, where
+    // which worker decodes which node changes from batch to batch. all_nodes
+    // below the crossover puts the measurement on the bitslice + SoA + arena
+    // path; two_hop on the per-candidate scalar path.
     Rng rng(9);
     const Graph graph = make_erdos_renyi(48, 0.15, rng);
     const auto messages = make_messages(graph, 10, 77);
-    SimulationParams params = forced_params(DictionaryPolicy::all_nodes, simd::Kernel::auto_best);
-    params.bitslice_min_candidates = 0;
-    const BeepTransport transport(graph, params);
+    for (const auto policy : {DictionaryPolicy::all_nodes, DictionaryPolicy::two_hop}) {
+        for (const std::size_t threads : {1, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (policy == DictionaryPolicy::all_nodes ? "all_nodes" : "two_hop")
+                         << " threads=" << threads);
+            SimulationParams params = forced_params(policy, simd::Kernel::auto_best);
+            params.bitslice_min_candidates = 0;
+            params.threads = threads;
+            const BeepTransport transport(graph, params);
 
-    std::vector<RoundSpec> specs(4, RoundSpec{&messages, 5, nullptr});
-    TransportBatch batch;
-    transport.simulate_rounds_into(specs, batch);  // builds the round, grows arenas
-    transport.simulate_rounds_into(specs, batch);  // everything at high-water
+            std::vector<RoundSpec> specs(4, RoundSpec{&messages, 5, nullptr});
+            TransportBatch batch;
+            transport.simulate_rounds_into(specs, batch);  // builds the round, grows arenas
+            transport.simulate_rounds_into(specs, batch);  // everything at high-water
 
-    const std::uint64_t before = alloc_hooks::count();
-    transport.simulate_rounds_into(specs, batch);
-    const std::uint64_t after = alloc_hooks::count();
-    EXPECT_EQ(after - before, 0u) << "steady-state batched decode allocated";
-    EXPECT_GT(batch.arena_words(), 0u);
+            const std::uint64_t before = alloc_hooks::count();
+            transport.simulate_rounds_into(specs, batch);
+            const std::uint64_t after = alloc_hooks::count();
+            EXPECT_EQ(after - before, 0u) << "steady-state batched decode allocated";
+            EXPECT_GT(batch.arena_words(), 0u);
+        }
+    }
 }
 
 }  // namespace

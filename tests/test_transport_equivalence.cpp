@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <ostream>
 
@@ -14,8 +15,10 @@
 #include "common/bitslice.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/word_soa.h"
 #include "graph/generators.h"
+#include "graph/partition.h"
 #include "sim/codebook.h"
 #include "sim/codebook_cache.h"
 #include "sim/params.h"
@@ -165,26 +168,36 @@ TEST_F(TransportEquivalence, MatchesSeedNoiseless) {
 
 TEST_F(TransportEquivalence, BatchedRoundsMatchGoldenFingerprints) {
     // simulate_rounds with batch size 3 must reproduce the seed-pinned
-    // fingerprints exactly, for both policies, with and without faults.
-    const BeepTransport two_hop(graph_, noisy_params(DictionaryPolicy::two_hop));
-    EXPECT_EQ(batched_fingerprint(two_hop, messages_, FaultModel{}), kGoldenTwoHopPlain);
-    EXPECT_EQ(batched_fingerprint(two_hop, messages_, faults_), kGoldenTwoHopFaults);
-    const BeepTransport all_nodes(graph_, noisy_params(DictionaryPolicy::all_nodes));
-    EXPECT_EQ(batched_fingerprint(all_nodes, messages_, FaultModel{}), kGoldenAllNodesPlain);
-    EXPECT_EQ(batched_fingerprint(all_nodes, messages_, faults_), kGoldenAllNodesFaults);
+    // fingerprints exactly, for both policies, with and without faults, at
+    // every worker count (rounds are built and decoded on the pool).
+    for (const std::size_t threads : {1, 2, 8}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        const BeepTransport two_hop(graph_, noisy_params(DictionaryPolicy::two_hop, threads));
+        EXPECT_EQ(batched_fingerprint(two_hop, messages_, FaultModel{}), kGoldenTwoHopPlain);
+        EXPECT_EQ(batched_fingerprint(two_hop, messages_, faults_), kGoldenTwoHopFaults);
+        const BeepTransport all_nodes(graph_,
+                                      noisy_params(DictionaryPolicy::all_nodes, threads));
+        EXPECT_EQ(batched_fingerprint(all_nodes, messages_, FaultModel{}),
+                  kGoldenAllNodesPlain);
+        EXPECT_EQ(batched_fingerprint(all_nodes, messages_, faults_), kGoldenAllNodesFaults);
+    }
 }
 
 TEST_F(TransportEquivalence, BitslicedDecoderMatchesGoldenFingerprints) {
     // Forcing the bitsliced phase-1 kernel below its size crossover must
     // not change a single output bit: the goldens pin the bitsliced decode
-    // end to end (single and batched paths).
-    SimulationParams params = noisy_params(DictionaryPolicy::all_nodes);
-    params.bitslice_min_candidates = 0;
-    const BeepTransport transport(graph_, params);
-    EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenAllNodesPlain);
-    EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenAllNodesFaults);
-    EXPECT_EQ(batched_fingerprint(transport, messages_, FaultModel{}), kGoldenAllNodesPlain);
-    EXPECT_EQ(batched_fingerprint(transport, messages_, faults_), kGoldenAllNodesFaults);
+    // end to end (single and batched paths, at every worker count).
+    for (const std::size_t threads : {1, 2, 8}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        SimulationParams params = noisy_params(DictionaryPolicy::all_nodes, threads);
+        params.bitslice_min_candidates = 0;
+        const BeepTransport transport(graph_, params);
+        EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenAllNodesPlain);
+        EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenAllNodesFaults);
+        EXPECT_EQ(batched_fingerprint(transport, messages_, FaultModel{}),
+                  kGoldenAllNodesPlain);
+        EXPECT_EQ(batched_fingerprint(transport, messages_, faults_), kGoldenAllNodesFaults);
+    }
 }
 
 TEST_F(TransportEquivalence, ExplicitIidChannelMatchesGoldenFingerprints) {
@@ -224,8 +237,8 @@ TEST_F(TransportEquivalence, BatchSizeOneMatchesSimulateRound) {
 }
 
 TEST_F(TransportEquivalence, BatchedThreadCountDoesNotChangeOutputs) {
-    // The pipelined batch (threads > 1 overlaps codebook builds with
-    // decoding) must agree round-for-round with the serial batch.
+    // The batch at threads > 1 (each round built, then decoded, on the
+    // 4-worker pool) must agree round-for-round with the serial batch.
     for (const auto policy : {DictionaryPolicy::two_hop, DictionaryPolicy::all_nodes}) {
         const BeepTransport serial(graph_, noisy_params(policy, 1));
         const BeepTransport threaded(graph_, noisy_params(policy, 4));
@@ -344,6 +357,28 @@ void expect_equal_soa(const WordSoa& a, const WordSoa& b) {
     EXPECT_TRUE(std::equal(a.data(), a.data() + size, b.data()));
 }
 
+/// Every field of two rounds, bitslice planes and SoA words included.
+void expect_equal_round_fields(const Codebook::Round& a, const Codebook::Round& b) {
+    EXPECT_EQ(a.inputs, b.inputs);
+    EXPECT_EQ(a.payloads, b.payloads);
+    EXPECT_EQ(a.codewords, b.codewords);
+    EXPECT_EQ(a.one_positions, b.one_positions);
+    EXPECT_EQ(a.decoy_inputs, b.decoy_inputs);
+    EXPECT_EQ(a.decoy_codewords, b.decoy_codewords);
+    EXPECT_EQ(a.decoy_one_positions, b.decoy_one_positions);
+    EXPECT_EQ(a.candidate_messages, b.candidate_messages);
+    EXPECT_EQ(a.candidate_encoded, b.candidate_encoded);
+    EXPECT_EQ(a.candidate_tails, b.candidate_tails);
+    EXPECT_EQ(a.decode_gaps, b.decode_gaps);
+    EXPECT_EQ(a.combined_schedules, b.combined_schedules);
+    EXPECT_EQ(a.phase1_beeps, b.phase1_beeps);
+    EXPECT_EQ(a.phase2_beeps, b.phase2_beeps);
+    EXPECT_EQ(a.nonce, b.nonce);
+    EXPECT_EQ(a.messages, b.messages);
+    expect_equal_slices(a.codeword_slices, b.codeword_slices);
+    expect_equal_soa(a.candidate_encoded_soa, b.candidate_encoded_soa);
+}
+
 class SameNonceRebuild : public ::testing::TestWithParam<DictionaryPolicy> {};
 
 TEST_P(SameNonceRebuild, MatchesFreshCodebookFieldByField) {
@@ -377,28 +412,11 @@ TEST_P(SameNonceRebuild, MatchesFreshCodebookFieldByField) {
     const Codebook fresh(graph, params);
     const auto reference = fresh.round(messages_b, nonce);
 
-    EXPECT_EQ(rebuilt->inputs, reference->inputs);
-    EXPECT_EQ(rebuilt->payloads, reference->payloads);
-    EXPECT_EQ(rebuilt->codewords, reference->codewords);
-    EXPECT_EQ(rebuilt->one_positions, reference->one_positions);
-    EXPECT_EQ(rebuilt->decoy_inputs, reference->decoy_inputs);
-    EXPECT_EQ(rebuilt->decoy_codewords, reference->decoy_codewords);
-    EXPECT_EQ(rebuilt->decoy_one_positions, reference->decoy_one_positions);
-    EXPECT_EQ(rebuilt->candidate_messages, reference->candidate_messages);
-    EXPECT_EQ(rebuilt->candidate_encoded, reference->candidate_encoded);
-    EXPECT_EQ(rebuilt->candidate_tails, reference->candidate_tails);
-    EXPECT_EQ(rebuilt->decode_gaps, reference->decode_gaps);
-    EXPECT_EQ(rebuilt->combined_schedules, reference->combined_schedules);
-    EXPECT_EQ(rebuilt->phase1_beeps, reference->phase1_beeps);
-    EXPECT_EQ(rebuilt->phase2_beeps, reference->phase2_beeps);
-    EXPECT_EQ(rebuilt->nonce, reference->nonce);
-    EXPECT_EQ(rebuilt->messages, reference->messages);
+    expect_equal_round_fields(*rebuilt, *reference);
     const bool sliced = GetParam() == DictionaryPolicy::all_nodes;
     EXPECT_EQ(rebuilt->codeword_slices.empty(), !sliced);
     EXPECT_EQ(rebuilt->candidate_encoded_soa.empty(), !sliced);
     EXPECT_EQ(rebuilt->decode_gaps.empty(), !sliced);
-    expect_equal_slices(rebuilt->codeword_slices, reference->codeword_slices);
-    expect_equal_soa(rebuilt->candidate_encoded_soa, reference->candidate_encoded_soa);
 
     EXPECT_EQ(book.stats().codeword_builds, codewords_after_first + n + params.decoy_count);
 }
@@ -406,6 +424,87 @@ TEST_P(SameNonceRebuild, MatchesFreshCodebookFieldByField) {
 INSTANTIATE_TEST_SUITE_P(Policies, SameNonceRebuild,
                          ::testing::Values(DictionaryPolicy::two_hop,
                                            DictionaryPolicy::all_nodes));
+
+/// Builds the same round with no pool and on pools of 2 and 8 workers, each
+/// through a fresh codebook from `make_book`: every field must match the
+/// serial build. Two nonces per codebook, so the second build runs on a
+/// pool that has already run jobs.
+template <typename MakeBook>
+void expect_pooled_builds_match(const MakeBook& make_book,
+                                const std::vector<std::optional<Bitstring>>& messages) {
+    constexpr std::uint64_t nonces[] = {3, 4};
+    const std::unique_ptr<Codebook> serial_book = make_book();
+    std::vector<std::shared_ptr<const Codebook::Round>> serial;
+    for (const auto nonce : nonces) {
+        serial.push_back(serial_book->round(messages, nonce));
+    }
+    for (const std::size_t workers : {2, 8}) {
+        SCOPED_TRACE(::testing::Message() << workers << " workers");
+        ThreadPool pool(workers);
+        const std::unique_ptr<Codebook> pooled_book = make_book();
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            expect_equal_round_fields(*pooled_book->round(messages, nonces[i], &pool),
+                                      *serial[i]);
+        }
+        EXPECT_EQ(pooled_book->stats().codeword_builds, serial_book->stats().codeword_builds);
+        EXPECT_EQ(pooled_book->stats().payload_encodes, serial_book->stats().payload_encodes);
+    }
+}
+
+TEST(CodebookPooledRound, TwoHopMatchesSerialFieldByField) {
+    Rng rng(0x51);
+    const Graph graph = make_random_regular(300, 6, rng);
+    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
+    params.decoy_count = 9;
+    const auto messages = make_messages(graph, params.message_bits, 21);
+    expect_pooled_builds_match([&] { return std::make_unique<Codebook>(graph, params); },
+                               messages);
+}
+
+TEST(CodebookPooledRound, AllNodesSlicedMatchesSerialFieldByField) {
+    // n + decoys above the default bitslice crossover: the pooled build
+    // feeds the transposed matrix, the SoA dictionary and the decode gaps.
+    Rng rng(0x52);
+    const Graph graph = make_random_regular(520, 4, rng);
+    SimulationParams params = noisy_params(DictionaryPolicy::all_nodes);
+    params.decoy_count = 5;
+    ASSERT_GE(graph.node_count() + params.decoy_count, params.bitslice_min_candidates);
+    const auto messages = make_messages(graph, params.message_bits, 22);
+    expect_pooled_builds_match([&] { return std::make_unique<Codebook>(graph, params); },
+                               messages);
+    const auto round = Codebook(graph, params).round(messages, 3);
+    EXPECT_FALSE(round->codeword_slices.empty());
+    EXPECT_FALSE(round->candidate_encoded_soa.empty());
+}
+
+TEST(CodebookPooledRound, ShardViewMatchesSerialFieldByField) {
+    // A middle shard: owned range preceded and followed by halo slots, which
+    // the pooled build must leave empty exactly like the serial one.
+    Rng rng(0x53);
+    const Graph graph = make_random_regular(240, 4, rng);
+    const ShardPlan plan = make_shard_plan(graph, 3);
+    const ShardPlan::Shard& shard = plan.shards[1];
+    ASSERT_GT(shard.owned_begin, 0u);
+    ASSERT_LT(shard.owned_begin + shard.owned_count, shard.local_to_global.size());
+    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
+    params.decoy_count = 6;
+    const auto global_messages = make_messages(graph, params.message_bits, 23);
+    std::vector<std::optional<Bitstring>> messages;
+    for (const auto g : shard.local_to_global) {
+        messages.push_back(global_messages[g]);
+    }
+    expect_pooled_builds_match(
+        [&] {
+            Codebook::ShardView view;
+            view.global_ids = shard.local_to_global;
+            view.owned_begin = shard.owned_begin;
+            view.owned_count = shard.owned_count;
+            view.global_node_count = graph.node_count();
+            view.global_max_degree = graph.max_degree();
+            return std::make_unique<Codebook>(shard.local, params, std::move(view));
+        },
+        messages);
+}
 
 TEST(TdmaEquivalence, ThreadCountDoesNotChangeOutputs) {
     Rng rng(11);
