@@ -17,13 +17,15 @@ Configurations present in only one of the two files (e.g. no AVX-512 on the
 runner) are skipped with a note. Steady-state allocation counts are an exact
 gate: the zero-copy contract does not degrade gracefully.
 
-A second, self-contained mode gates the sharded transport's scaling claim:
-`--shard BENCH_shard.json` checks that batched throughput at 4 shards is at
-least --shard-speedup (default 2.0) times the 1-shard rate. That ratio only
-means anything when the machine can actually run 4 workers, so the gate
-applies the threshold when the recorded hardware_concurrency is >= 4 and
-otherwise just sanity-checks that every rate is positive — same-machine
-self-comparison, so no baseline file and no normalization anchor needed.
+A second, self-contained mode gates the sharded transport's scaling claims
+on the E17 table, whose rows are keyed by (shards, threads): `--shard
+BENCH_shard.json` checks that 4 shards at 4 threads run at least
+--shard-speedup (default 2.0) times the serial (1 shard, 1 thread) rate, and
+that one shard at 4 threads is no slower than at 1 thread. Both only mean
+anything when the machine can actually run 4 workers, so they apply when the
+recorded hardware_concurrency is >= 4; otherwise the gate just sanity-checks
+that every rate is positive — same-machine self-comparison, so no baseline
+file and no normalization anchor needed.
 
 Usage: check_perf_regression.py CURRENT BASELINE [--threshold 0.30]
        check_perf_regression.py --shard BENCH_shard.json [--shard-speedup 2.0]
@@ -80,39 +82,51 @@ def reference_rate(results, path):
 
 
 def check_shard_scaling(path, min_speedup):
-    """The BENCH_shard.json gate: 4-shard batched throughput >= min_speedup
-    times the 1-shard rate, enforced only where 4 workers can actually run
-    in parallel."""
+    """The BENCH_shard.json gate: rate(4 shards, 4 threads) >= min_speedup x
+    rate(1, 1), and rate(1, 4) >= rate(1, 1), enforced only where 4 workers
+    can actually run in parallel."""
     doc = load_doc(path)
     rates = {}
     for row in doc.get("results", []):
+        key = (int(row["shards"]), int(row["threads"]))
         rate = float(row["batched_rounds_per_s"])
         if rate <= 0:
             print(f"check_perf_regression: {path}: non-positive rate at "
-                  f"shards={row['shards']}", file=sys.stderr)
+                  f"(shards, threads)={key}", file=sys.stderr)
             return 1
-        rates[int(row["shards"])] = rate
-    for shards in (1, 4):
-        if shards not in rates:
-            print(f"check_perf_regression: {path}: missing shards={shards} row",
-                  file=sys.stderr)
+        rates[key] = rate
+    for key in ((1, 1), (1, 4), (4, 4)):
+        if key not in rates:
+            print(f"check_perf_regression: {path}: missing (shards, threads)={key} "
+                  f"row", file=sys.stderr)
             return 1
 
+    serial = rates[(1, 1)]
+    for shards, threads in sorted(rates):
+        rate = rates[(shards, threads)]
+        print(f"  shards={shards} threads={threads} batched {rate:10.2f} rounds/s "
+              f"({rate / serial:.2f}x vs serial)")
     cores = int(doc.get("hardware_concurrency", 0))
-    speedup = rates[4] / rates[1]
-    for shards in sorted(rates):
-        print(f"  shards={shards} batched {rates[shards]:10.2f} rounds/s "
-              f"({rates[shards] / rates[1]:.2f}x vs 1 shard)")
     if cores < 4:
         print(f"check_perf_regression: hardware_concurrency={cores} < 4; "
-              f"scaling threshold not applicable, rates sane")
+              f"scaling thresholds not applicable, rates sane")
         return 0
+    speedup = rates[(4, 4)] / serial
+    one_shard = rates[(1, 4)] / serial
+    failed = False
     if speedup < min_speedup:
-        print(f"check_perf_regression: 1->4 shard speedup {speedup:.2f}x "
+        print(f"check_perf_regression: 4-shard speedup {speedup:.2f}x over serial "
               f"below required {min_speedup:.2f}x", file=sys.stderr)
+        failed = True
+    if one_shard < 1.0:
+        print(f"check_perf_regression: one shard at 4 threads runs {one_shard:.2f}x "
+              f"the 1-thread rate (must not be slower)", file=sys.stderr)
+        failed = True
+    if failed:
         return 1
-    print(f"check_perf_regression: 1->4 shard speedup {speedup:.2f}x "
-          f"(required {min_speedup:.2f}x)")
+    print(f"check_perf_regression: 4-shard speedup {speedup:.2f}x over serial "
+          f"(required {min_speedup:.2f}x); one shard 1->4 threads {one_shard:.2f}x "
+          f"(required 1.00x)")
     return 0
 
 
@@ -128,8 +142,9 @@ def main():
                         help="gate sharded-transport scaling instead of the "
                              "transport baseline comparison")
     parser.add_argument("--shard-speedup", type=float, default=2.0,
-                        help="required 1->4 shard throughput ratio when the "
-                             "machine has >= 4 cores (default 2.0)")
+                        help="required (4 shards, 4 threads) / (1 shard, 1 thread) "
+                             "throughput ratio when the machine has >= 4 cores "
+                             "(default 2.0)")
     args = parser.parse_args()
 
     if args.shard is not None:

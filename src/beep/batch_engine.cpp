@@ -17,7 +17,7 @@ BatchEngine::BatchEngine(const Graph& graph, BatchParams params, Rng rng)
 BatchEngine::BatchEngine(const Graph& graph, BatchParams params, Rng rng,
                          std::span<const std::uint32_t> global_ids)
     : BatchEngine(graph, std::move(params), rng) {
-    require(global_ids.size() == graph_.node_count(),
+    require(global_ids.empty() || global_ids.size() == graph_.node_count(),
             "BatchEngine: one global id per local node required");
     global_ids_ = global_ids;
 }

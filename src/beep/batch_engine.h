@@ -48,7 +48,7 @@ public:
     /// node argument (heterogeneous channels key epsilon_v by id) use the
     /// global id, so a local hear_into() is bit-identical to the unsharded
     /// engine's for the same node. The span must outlive the engine and
-    /// cover every local node.
+    /// cover every local node, or be empty (the identity mapping).
     BatchEngine(const Graph& graph, BatchParams params, Rng rng,
                 std::span<const std::uint32_t> global_ids);
 

@@ -10,8 +10,9 @@
 // Poll points:
 //   * ThreadPool::parallel_for's token overload checks before every chunk
 //     claim, so wide fan-outs stop within one chunk;
-//   * BeepTransport/TdmaTransport batch loops call cancel_poll() at round
-//     boundaries, covering the long-running single-job case;
+//   * the BeepTransport driver (any shard count) and TdmaTransport's batch
+//     loop call cancel_poll() at round boundaries, covering the
+//     long-running single-job case;
 //   * cancel_poll() reads a thread-local token installed by CancelScope, so
 //     deep callees (the transports) need no token plumbing through their
 //     signatures — the sweep engine scopes each job and everything the job

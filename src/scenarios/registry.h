@@ -32,7 +32,8 @@ ScenarioSpec e11_noise_point(double epsilon, std::size_t c_eps);
 const std::vector<ScenarioSpec>& shipped_scenarios();
 
 /// Large-n sharded-transport demos: ring topologies at n = 10^5 and 10^6
-/// run through ShardedTransport (the CI scale smoke executes the latter).
+/// run through BeepTransport at 8 and 16 shards (the CI scale smoke
+/// executes the latter).
 /// Deliberately not part of shipped_scenarios(): the shipped sweep's job
 /// count and runtime are pinned by tests and CI budgets. find_scenario()
 /// resolves them, so `nb_run demo-shard-100k` works like any shipped name.

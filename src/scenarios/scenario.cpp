@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "graph/generators.h"
-#include "sim/sharded_transport.h"
 
 namespace nb {
 
@@ -202,12 +201,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
     std::unique_ptr<Transport> transport;
     if (spec.transport == TransportKind::beep) {
-        if (spec.shards > 1) {
-            transport = std::make_unique<ShardedTransport>(graph, spec.sim_params(),
-                                                           spec.shards);
-        } else {
-            transport = std::make_unique<BeepTransport>(graph, spec.sim_params());
-        }
+        transport = std::make_unique<BeepTransport>(graph, spec.sim_params(), spec.shards);
     } else {
         transport = std::make_unique<TdmaTransport>(graph, spec.tdma_params(graph.node_count()));
     }

@@ -113,8 +113,8 @@ struct ScenarioSpec {
     std::size_t decoy_count = 32;
     std::size_t threads = 0;
 
-    /// Transport partitioning (sharded_transport.h): > 1 runs the beep
-    /// transport through ShardedTransport with this many shards. Like
+    /// Transport partitioning: the beep transport's shard count (see
+    /// BeepTransport in sim/transport.h). Like
     /// `threads`, an execution knob — outputs are bit-identical for every
     /// value, so it is excluded from the fingerprint and the result JSON.
     std::size_t shards = 1;

@@ -26,19 +26,18 @@ void build_node_states_into(std::vector<NodeState>& state, std::size_t n,
     }
 }
 
-void reserve_workspace(const DecodeContext& ctx, DecodeWorkspace& ws) {
-    const Codebook& codebook = *ctx.codebook;
-    const Codebook::Round& rd = *ctx.round;
+void reserve_workspace(const Codebook& codebook, const Codebook::Round& round,
+                       std::size_t message_words, DecodeWorkspace& ws) {
     ws.heard1.reset(codebook.beep_length());
     ws.heard2.reset(codebook.beep_length());
     ws.gathered.reset(codebook.beep_code().weight());
     ws.accepted_nodes.reserve(codebook.max_node_candidate_count());
-    ws.accepted_decoys.reserve(ctx.decoy_count);
-    ws.accept_mask.reserve(rd.codeword_slices.lane_words());
-    ws.distances.reserve(rd.candidate_encoded_soa.stride());
-    ws.sort_tmp.reserve(ctx.batch->message_words());
-    rd.codeword_slices.reserve_scratch(ws.slice_scratch);
-    ws.expected.reserve(ctx.graph->max_degree());
+    ws.accepted_decoys.reserve(codebook.decoy_count());
+    ws.accept_mask.reserve(round.codeword_slices.lane_words());
+    ws.distances.reserve(round.candidate_encoded_soa.stride());
+    ws.sort_tmp.reserve(message_words);
+    round.codeword_slices.reserve_scratch(ws.slice_scratch);
+    ws.expected.reserve(codebook.graph().max_degree());
 }
 
 void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
@@ -47,8 +46,8 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     if ((*c.states)[v] != NodeState::correct) {
         return;  // faulty nodes produce no output (their slot stays empty)
     }
-    // The batch's slot table is indexed by global id; under sharding v is a
-    // local closure index and gv its global identity.
+    // The batch's slot table is indexed by global id; v is a local closure
+    // index and gv its global identity.
     const NodeId gv = c.local_to_global != nullptr ? c.local_to_global[v] : v;
     DecodeWorkspace& ws = (*c.workspaces)[worker];
     NodeDiagnostics& diag = (*c.diagnostics)[v];

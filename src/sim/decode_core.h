@@ -1,14 +1,14 @@
-// The per-node decode pipeline of Algorithm 1, factored out of
-// BeepTransport so the sharded transport runs the *same* code over shard
-// closures: one function, decode_node(), consumes a DecodeContext and
-// writes one node's deliveries and diagnostics. Bit-identity between the
-// sharded and unsharded transports is then an argument about the context's
-// inputs (codewords, schedules, dictionaries, noise streams), not about two
-// decode implementations staying in sync (DESIGN.md section 10).
+// The per-node decode pipeline of Algorithm 1: one function, decode_node(),
+// consumes a DecodeContext and writes one node's deliveries and
+// diagnostics. BeepTransport runs it over each shard's closure (the whole
+// graph for a one-shard plan), so bit-identity across shard counts is an
+// argument about the context's inputs (codewords, schedules, dictionaries,
+// noise streams), not about two decode implementations staying in sync
+// (DESIGN.md section 10).
 //
-// Internal header: included by transport.cpp and sharded_transport.cpp
-// only. It also defines TransportBatch::Scratch (forward-declared in
-// transport_batch.h), the cross-call scratch both transports keep in the
+// Internal header: included by transport.cpp and decode_core.cpp only. It
+// also defines TransportBatch::Scratch (forward-declared in
+// transport_batch.h), the cross-call scratch the transport keeps in the
 // caller's batch.
 #pragma once
 
@@ -69,11 +69,11 @@ struct DecodeWorkspace {
 /// inside its small-buffer storage — no per-round allocation.
 ///
 /// `codewords` / `one_positions` are the *fault-free decoding dictionary*
-/// for phase 1 and the phase-2 gathers. For BeepTransport they alias the
-/// round's own vectors; the sharded transport points them at its assembled
-/// copies (owned slots from the local round, halo slots imported from the
-/// boundary table). `local_to_global` (nullptr = identity) maps node ids
-/// for the batch's slot table, which is always indexed globally.
+/// for phase 1 and the phase-2 gathers. For a shard without a halo they
+/// alias the round's own vectors; otherwise they point at the shard's
+/// assembled copies (owned slots from the local round, halo slots imported
+/// from the boundary table). `local_to_global` (nullptr = identity) maps
+/// node ids for the batch's slot table, which is always indexed globally.
 struct DecodeContext {
     const Graph* graph = nullptr;
     const Codebook* codebook = nullptr;
@@ -94,16 +94,19 @@ struct DecodeContext {
     const std::uint32_t* local_to_global = nullptr;
     std::size_t round_index = 0;
     std::size_t n = 0;
+    NodeId owned_begin = 0;  ///< local id of the first node the decode loop owns
     std::size_t decoy_count = 0;
     bool bitsliced = false;
     simd::Kernel kernel = simd::Kernel::auto_best;
 };
 
-/// Size `ws` for decoding any node of ctx's round: b-bit transcripts, the
+/// Size `ws` for decoding any node of `round`: b-bit transcripts, the
 /// codeword-weight gather, acceptance lists at their dictionary bounds, the
-/// bitslice and SoA scratch, and one record of sort space. Capacity only
-/// grows, so on a warm workspace this allocates nothing.
-void reserve_workspace(const DecodeContext& ctx, DecodeWorkspace& ws);
+/// bitslice and SoA scratch, and one record (`message_words`) of sort
+/// space. Capacity only grows, so on a warm workspace this allocates
+/// nothing.
+void reserve_workspace(const Codebook& codebook, const Codebook::Round& round,
+                       std::size_t message_words, DecodeWorkspace& ws);
 
 /// Decode node `v` (a local id under sharding) on `worker`'s scratch:
 /// phase-1 acceptance, phase-2 nearest-entry decodes, delivery commit into
@@ -111,21 +114,35 @@ void reserve_workspace(const DecodeContext& ctx, DecodeWorkspace& ws);
 /// (their slot stays empty).
 void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v);
 
+/// One shard's per-round scratch, reused across rounds and batches. The
+/// message and state slices exist only for closures that are not the
+/// identity, and the assembled dictionary only for shards with imports; the
+/// fault-override schedules stay empty on fault-free workloads.
+struct ShardScratch {
+    std::vector<std::optional<Bitstring>> messages;  ///< local slice, closure order
+    std::shared_ptr<const Codebook::Round> round;
+    std::vector<Bitstring> codewords;  ///< owned slots from the round, halo from the table
+    std::vector<std::vector<std::size_t>> one_positions;
+    std::vector<Bitstring> phase2;
+    std::vector<Bitstring> faulty_phase1;
+    std::vector<Bitstring> faulty_phase2;
+    std::vector<NodeState> states;  ///< local slice, closure order
+    std::vector<NodeDiagnostics> diagnostics;
+    std::size_t total_beeps = 0;  ///< owned nodes only
+};
+
 }  // namespace transport_detail
 
 /// Everything decode rounds reuse across rounds and batches. Owned by the
-/// TransportBatch (caller lifetime), created on its first use; the
-/// fault-override schedule vectors stay empty on fault-free workloads.
-/// `extension` holds transport-specific state (the sharded transport's
-/// per-shard scratch and boundary table) type-erased, so this header stays
-/// independent of it.
+/// TransportBatch (caller lifetime), created on its first use. The boundary
+/// table has one writer per row (the owning shard's build stage); readers
+/// start only after the exchange between stages, so no row is ever written
+/// and read concurrently.
 struct TransportBatch::Scratch {
     std::vector<transport_detail::DecodeWorkspace> workspaces;
-    std::vector<transport_detail::NodeState> states;
-    std::vector<transport_detail::NodeDiagnostics> diagnostics;
-    std::vector<Bitstring> faulty_phase1;
-    std::vector<Bitstring> faulty_phase2;
-    std::shared_ptr<void> extension;
+    std::vector<transport_detail::NodeState> states;  ///< this round's, by global id
+    std::vector<transport_detail::ShardScratch> shards;
+    std::vector<std::uint64_t> table;
 };
 
 }  // namespace nb

@@ -30,6 +30,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/graph.h"
+#include "graph/partition.h"
 #include "sim/codebook.h"
 #include "sim/codebook_cache.h"
 #include "sim/params.h"
@@ -109,10 +110,31 @@ public:
     virtual const Graph& graph() const noexcept = 0;
 };
 
+/// Algorithm 1 over a plan of k shards (DESIGN.md sections 2 and 10).
+///
+/// The graph is split into k contiguous ownership ranges (graph/
+/// partition.h). Each shard decodes its owned nodes over its closure —
+/// owned nodes plus a two-hop halo — with its own Codebook built through a
+/// ShardView: input streams r_v keyed by *global* node id, beep-code length
+/// from the *global* max degree. Per round the shards exchange only
+/// boundary beep activity: every owned node another shard can hear within
+/// two hops publishes its phase-1 codeword and phase-2 combined schedule
+/// into a fixed-layout boundary table (one writer per row, SST-style), and
+/// each shard fills its halo slots from the rows its imports name. Every
+/// derived stream is keyed globally and every halo slot holds exactly the
+/// bits the owner built, so outputs are bit-identical for any shard count
+/// and any worker count.
+///
+/// The default is a one-shard plan: the closure is the whole graph with
+/// identity ids, the codebook is the plain Codebook(graph, params), there
+/// are no imports or exports, and the exchange is skipped.
 class BeepTransport final : public Transport {
 public:
-    /// The graph must outlive the transport.
-    BeepTransport(const Graph& graph, SimulationParams params);
+    /// The graph must outlive the transport. `shard_count` is clamped to
+    /// [1, n]. Dictionaries whose candidate sets are not local (all_nodes
+    /// scans every node's input) have no self-contained closure, so they
+    /// always run one shard.
+    BeepTransport(const Graph& graph, SimulationParams params, std::size_t shard_count = 1);
 
     using Transport::simulate_round;
 
@@ -125,10 +147,13 @@ public:
     /// messages land as fixed-stride records in per-worker arenas instead
     /// of per-node Bitstring vectors, and all decode scratch lives in the
     /// batch, so a reused batch at its steady-state high-water mark decodes
-    /// with zero heap allocations at any worker count. Each round is built
-    /// (Codebook::round on this transport's pool), then decoded on the same
-    /// pool. One simulate_rounds_into call writes a batch at a time;
-    /// simulate_rounds is this plus the per-round conversion.
+    /// with zero heap allocations at any shard and worker count. Each round
+    /// runs two per-shard stages on this transport's pool: build (and
+    /// publish the boundary rows), then decode. With one shard the stage
+    /// runs on the caller and its round build and node decodes fan out over
+    /// every worker; with k > 1 each shard runs on one worker. One
+    /// simulate_rounds_into call writes a batch at a time; simulate_rounds
+    /// is this plus the per-round conversion.
     void simulate_rounds_into(std::span<const RoundSpec> specs, TransportBatch& batch) const;
 
     /// Fault-injected variant: `faults` nodes misbehave as described by
@@ -144,23 +169,46 @@ public:
     const SimulationParams& params() const noexcept { return params_; }
     const Graph& graph() const noexcept override { return graph_; }
 
-    /// The code/dictionary cache this transport decodes with (see
+    /// Shards in the plan (1 for the one-shard plan).
+    std::size_t shard_count() const noexcept { return shards_.size(); }
+
+    /// The code/dictionary cache shard `shard` decodes with (see
     /// codebook.h): the process-wide shared build when
     /// params.shared_codebook (possibly serving other transports too, so
-    /// its stats() aggregate across them), otherwise this transport's
-    /// private build.
-    const Codebook& codebook() const noexcept { return *codebook_; }
+    /// its stats() aggregate across them), otherwise a private build.
+    const Codebook& codebook(std::size_t shard = 0) const { return *shards_[shard].codebook; }
 
 private:
-    void decode_round_into(const Codebook::Round& round, const RoundSpec& spec,
-                           std::size_t round_index, TransportBatch& batch) const;
+    /// One shard's closure and codebook. A one-shard plan's closure is
+    /// graph_ itself with identity ids (`ids` empty) and no imports or
+    /// exports; otherwise the spans view plan_.shards[s].
+    struct Shard {
+        const Graph* graph = nullptr;
+        std::span<const std::uint32_t> ids;  ///< local -> global id; empty = identity
+        std::uint32_t owned_begin = 0;       ///< owned locals are [owned_begin, +owned_count)
+        std::uint32_t owned_count = 0;
+        std::span<const std::uint32_t> exports;      ///< owned locals, one table row each
+        std::span<const ShardPlan::Import> imports;  ///< halo locals and their rows
+        std::size_t row_offset_words = 0;            ///< first word of this shard's rows
+        std::shared_ptr<const SharedCodebook> shared;  ///< cache-owned
+        std::unique_ptr<Codebook> owned;               ///< private build
+        const Codebook* codebook = nullptr;
+    };
+
+    /// One round's two per-shard stages (defined in transport.cpp).
+    struct RoundJob;
 
     const Graph& graph_;
     SimulationParams params_;
-    std::shared_ptr<const SharedCodebook> shared_codebook_;  ///< cache-owned
-    std::unique_ptr<Codebook> owned_codebook_;               ///< private build
-    const Codebook* codebook_ = nullptr;  ///< whichever of the two is active
+    ShardPlan plan_;  ///< empty for the one-shard plan
+    std::vector<Shard> shards_;
     std::unique_ptr<ThreadPool> pool_;
+
+    // Boundary-table layout, fixed at construction: each export row is
+    // 2 * words_per_schedule_ words (phase-1 codeword, then phase-2
+    // combined schedule).
+    std::size_t words_per_schedule_ = 0;
+    std::size_t table_words_ = 0;
 };
 
 }  // namespace nb

@@ -21,7 +21,8 @@
 // high-water mark, decoding performs no heap allocation at all (asserted by
 // the steady-state allocation tests). BeepTransport levels every worker's
 // arena to the whole batch's record count at the end of each batch, so the
-// high-water mark holds for any worker count, not just for one schedule.
+// high-water mark holds for any shard and worker count, not just for one
+// schedule.
 // The batch is written by one simulate_rounds_into call at a time (readers
 // may inspect it between calls); it is not a concurrent container.
 #pragma once
@@ -99,7 +100,6 @@ public:
 
 private:
     friend class BeepTransport;
-    friend class ShardedTransport;
     friend void transport_detail::decode_node(const transport_detail::DecodeContext& ctx,
                                               std::size_t worker, NodeId v);
 

@@ -161,7 +161,7 @@ TEST_F(FailpointTest, EverySiteSurvivesInjectedThrowAndOomWithRetries) {
     sweep.name = "site-sweep";
     sweep.bases = {noisy_base("job")};
     // Sharded execution so the shard.exchange site sits on the job's real
-    // code path (it fires once per round inside ShardedTransport).
+    // code path (it fires once per round of a multi-shard BeepTransport).
     sweep.bases[0].shards = 2;
     sweep.axes.seeds = {1, 2};
     sweep.max_retries = 2;

@@ -1,8 +1,9 @@
-// Sharded-transport exactness and resilience: the partitioned simulation
-// (sim/sharded_transport.h) must be bit-identical to BeepTransport for
-// every shard count and worker count — pinned against the same seed-era
-// golden fingerprints test_transport_equivalence.cpp uses — and its
-// boundary-exchange failpoint must unwind cleanly under injected faults.
+// Sharded-transport exactness and resilience: BeepTransport plans of k > 1
+// shards must reproduce the seed-era golden fingerprints round by round
+// (the batched shard x thread grid lives in test_transport_equivalence.cpp),
+// reuse their batch scratch exactly, stay invariant at the scenario level,
+// and unwind cleanly when the boundary-exchange failpoint fires — which it
+// never does on a one-shard plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,70 +19,13 @@
 #include "scenarios/scenario.h"
 #include "sim/codebook_cache.h"
 #include "sim/params.h"
-#include "sim/sharded_transport.h"
 #include "sim/transport.h"
+#include "transport_goldens.h"
 
 namespace nb {
 namespace {
 
-std::vector<std::optional<Bitstring>> make_messages(const Graph& graph, std::size_t bits,
-                                                    std::uint64_t seed,
-                                                    double silent_fraction = 0.25) {
-    Rng rng(seed);
-    std::vector<std::optional<Bitstring>> messages(graph.node_count());
-    for (NodeId v = 0; v < graph.node_count(); ++v) {
-        if (!rng.bernoulli(silent_fraction)) {
-            messages[v] = Bitstring::random(rng, bits);
-        }
-    }
-    return messages;
-}
-
-/// Byte-for-byte the digest test_transport_equivalence.cpp pins its goldens
-/// with, so the sharded transport is held to the seed implementation's
-/// exact outputs, not merely to "agrees with today's BeepTransport".
-std::uint64_t fingerprint(const TransportRound& round) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    auto mix = [&h](std::uint64_t value) { h = mix64(h ^ value); };
-    for (const auto& messages : round.delivered) {
-        mix(messages.size());
-        for (const auto& message : messages) {
-            mix(message.hash());
-        }
-    }
-    mix(round.beep_rounds);
-    mix(round.total_beeps);
-    mix(round.phase1_false_negatives);
-    mix(round.phase1_false_positives);
-    mix(round.phase2_errors);
-    mix(round.delivery_mismatches);
-    return h;
-}
-
-std::uint64_t run_fingerprint(const ShardedTransport& transport,
-                              const std::vector<std::optional<Bitstring>>& messages,
-                              const FaultModel& faults) {
-    std::uint64_t h = 0;
-    for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
-        h = mix64(h ^ fingerprint(transport.simulate_round(messages, nonce, faults)));
-    }
-    return h;
-}
-
-// The seed-pinned goldens for the 32-node two-hop fixture (captured at
-// commit 6b6a934; see test_transport_equivalence.cpp).
-constexpr std::uint64_t kGoldenTwoHopPlain = 0x82c6aaa1661aa3eaULL;
-constexpr std::uint64_t kGoldenTwoHopFaults = 0x2d7eb0a121342769ULL;
-
-SimulationParams noisy_params(std::size_t threads = 1) {
-    SimulationParams params;
-    params.epsilon = 0.1;
-    params.message_bits = 10;
-    params.c_eps = 4;
-    params.dictionary = DictionaryPolicy::two_hop;
-    params.threads = threads;
-    return params;
-}
+using namespace golden;
 
 std::string result_json(const ScenarioResult& result) {
     std::ostringstream out;
@@ -159,30 +103,30 @@ TEST(ShardPlan, PartitionCoversAndClosureAdjacencyIsExact) {
 }
 
 TEST_F(ShardedTransportTest, GoldenFingerprintsForEveryShardAndWorkerCount) {
+    // One simulate_round call per nonce (the batched path is pinned in
+    // TransportEquivalence) at every shard and worker count.
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards) +
-                         " threads=" + std::to_string(threads));
-            const ShardedTransport transport(graph_, noisy_params(threads), shards);
+            SCOPED_TRACE(::testing::Message() << "shards=" << shards << " threads=" << threads);
+            const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop, threads),
+                                          shards);
             EXPECT_EQ(transport.shard_count(), shards);
-            EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}),
-                      kGoldenTwoHopPlain);
-            EXPECT_EQ(run_fingerprint(transport, messages_, faults_),
-                      kGoldenTwoHopFaults);
+            EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenTwoHopPlain);
+            EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenTwoHopFaults);
         }
     }
 }
 
 TEST_F(ShardedTransportTest, PrivateCodebooksMatchSharedCacheBuilds) {
-    SimulationParams params = noisy_params();
+    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
     params.shared_codebook = false;
-    const ShardedTransport transport(graph_, params, 4);
+    const BeepTransport transport(graph_, params, 4);
     EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenTwoHopPlain);
     EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenTwoHopFaults);
 }
 
 TEST_F(ShardedTransportTest, ReusedBatchStaysIdenticalAcrossCalls) {
-    const ShardedTransport transport(graph_, noisy_params(), 3);
+    const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop), 3);
     std::vector<RoundSpec> specs;
     for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
         specs.push_back(RoundSpec{&messages_, nonce, &faults_});
@@ -205,10 +149,11 @@ TEST_F(ShardedTransportTest, ReusedBatchStaysIdenticalAcrossCalls) {
 }
 
 TEST_F(ShardedTransportTest, AllNodesDictionaryDelegatesToUnsharded) {
-    SimulationParams params = noisy_params();
-    params.dictionary = DictionaryPolicy::all_nodes;
-    const ShardedTransport sharded(graph_, params, 4);
-    EXPECT_EQ(sharded.shard_count(), 0u);  // fallback engaged
+    // all_nodes candidate sets are not local, so a sharded request clamps
+    // to the one-shard plan and runs exactly as the unsharded transport.
+    const SimulationParams params = noisy_params(DictionaryPolicy::all_nodes);
+    const BeepTransport sharded(graph_, params, 4);
+    EXPECT_EQ(sharded.shard_count(), 1u);
     const BeepTransport unsharded(graph_, params);
     for (std::uint64_t nonce = 0; nonce < 2; ++nonce) {
         EXPECT_EQ(fingerprint(sharded.simulate_round(messages_, nonce)),
@@ -251,25 +196,31 @@ TEST_F(ShardedTransportTest, SpecFingerprintIgnoresShardCount) {
 }
 
 TEST_F(ShardedTransportTest, ExchangeFailpointUnwindsAndHeals) {
-    const ShardedTransport transport(graph_, noisy_params(), 2);
-    const std::uint64_t clean = run_fingerprint(transport, messages_, FaultModel{});
-
-    for (const failpoint::Mode mode :
-         {failpoint::Mode::inject_throw, failpoint::Mode::oom}) {
-        SCOPED_TRACE(mode == failpoint::Mode::oom ? "oom" : "throw");
-        failpoint::Config config;
-        config.mode = mode;
-        config.max_hits = 1;
-        failpoint::configure("shard.exchange", config);
-        if (mode == failpoint::Mode::inject_throw) {
-            EXPECT_THROW(transport.simulate_round(messages_, 0),
-                         failpoint::injected_fault);
-        } else {
-            EXPECT_THROW(transport.simulate_round(messages_, 0), std::bad_alloc);
+    for (const std::size_t shards : {1, 2}) {
+        SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+        const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop), shards);
+        for (const failpoint::Mode mode :
+             {failpoint::Mode::inject_throw, failpoint::Mode::oom}) {
+            SCOPED_TRACE(mode == failpoint::Mode::oom ? "oom" : "throw");
+            failpoint::Config config;
+            config.mode = mode;
+            config.max_hits = 1;
+            failpoint::configure("shard.exchange", config);
+            if (shards == 1) {
+                // A one-shard plan has no exchange: armed, it runs clean.
+                EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}),
+                          kGoldenTwoHopPlain);
+                EXPECT_EQ(failpoint::hits("shard.exchange"), 0u);
+            } else if (mode == failpoint::Mode::inject_throw) {
+                EXPECT_THROW(transport.simulate_round(messages_, 0),
+                             failpoint::injected_fault);
+            } else {
+                EXPECT_THROW(transport.simulate_round(messages_, 0), std::bad_alloc);
+            }
+            failpoint::clear("shard.exchange");
+            // Healed: the transport is still usable and still exact.
+            EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenTwoHopPlain);
         }
-        failpoint::clear("shard.exchange");
-        // Healed: the transport is still usable and still exact.
-        EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), clean);
     }
 }
 

@@ -3,8 +3,8 @@
 // force scalar vs AVX2 vs AVX-512 on randomized inputs — including the tail
 // shapes a lane-width bug would miss (word counts off the vector width,
 // candidate counts off the 64/256 lane boundaries, zero-weight columns,
-// limit 0, limit above the weight) — and the transport goldens from
-// test_transport_equivalence.cpp are re-pinned under every forced kernel.
+// limit 0, limit above the weight) — and the transport goldens
+// (transport_goldens.h) are re-pinned under every forced kernel.
 // The batch ring (sim/transport_batch.h) is covered here too: reuse
 // equivalence and the steady-state zero-allocation contract.
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "graph/generators.h"
 #include "sim/params.h"
 #include "sim/transport.h"
+#include "transport_goldens.h"
 
 namespace nb {
 namespace {
@@ -286,63 +287,14 @@ TEST(SimdKernels, GatherBitsMatchesPositionGatherOnEveryKernel) {
 
 // ---------------------------------------------------------------------------
 // End-to-end: forced dispatch must reproduce the seed-pinned transport
-// goldens (same values as test_transport_equivalence.cpp), and the batch
-// ring must match the compatibility path while allocating nothing once warm.
+// goldens (transport_goldens.h) — so a kernel divergence shows up as a
+// golden failure, not just a cross-kernel mismatch — and the batch ring
+// must match the compatibility path while allocating nothing once warm.
 
-std::vector<std::optional<Bitstring>> make_messages(const Graph& graph, std::size_t bits,
-                                                    std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<std::optional<Bitstring>> messages(graph.node_count());
-    for (NodeId v = 0; v < graph.node_count(); ++v) {
-        if (!rng.bernoulli(0.25)) {
-            messages[v] = Bitstring::random(rng, bits);
-        }
-    }
-    return messages;
-}
-
-std::uint64_t fingerprint(const TransportRound& round) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    auto mix = [&h](std::uint64_t value) { h = mix64(h ^ value); };
-    for (const auto& messages : round.delivered) {
-        mix(messages.size());
-        for (const auto& message : messages) {
-            mix(message.hash());
-        }
-    }
-    mix(round.beep_rounds);
-    mix(round.total_beeps);
-    mix(round.phase1_false_negatives);
-    mix(round.phase1_false_positives);
-    mix(round.phase2_errors);
-    mix(round.delivery_mismatches);
-    return h;
-}
-
-std::uint64_t run_fingerprint(const BeepTransport& transport,
-                              const std::vector<std::optional<Bitstring>>& messages,
-                              const FaultModel& faults) {
-    std::uint64_t h = 0;
-    for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
-        h = mix64(h ^ fingerprint(transport.simulate_round(messages, nonce, faults)));
-    }
-    return h;
-}
-
-// The seed goldens of test_transport_equivalence.cpp — re-pinned here under
-// forced dispatch so a kernel divergence shows up as a golden failure, not
-// just a cross-kernel mismatch.
-constexpr std::uint64_t kGoldenTwoHopPlain = 0x82c6aaa1661aa3eaULL;
-constexpr std::uint64_t kGoldenAllNodesPlain = 0x82c6aaa1661aa3eaULL;
-constexpr std::uint64_t kGoldenAllNodesFaults = 0xcf836c6fc717b592ULL;
+using namespace golden;
 
 SimulationParams forced_params(DictionaryPolicy policy, simd::Kernel kernel) {
-    SimulationParams params;
-    params.epsilon = 0.1;
-    params.message_bits = 10;
-    params.c_eps = 4;
-    params.dictionary = policy;
-    params.threads = 1;
+    SimulationParams params = noisy_params(policy);
     params.simd_kernel = kernel;
     return params;
 }
@@ -417,37 +369,54 @@ TEST(TransportBatchRing, ReusedBatchMatchesSimulateRounds) {
     }
 }
 
+/// Allocations of a third simulate_rounds_into call through a batch the
+/// first two calls warmed (the codebook round stays cached: same messages
+/// and nonce).
+std::uint64_t steady_state_allocs(const BeepTransport& transport,
+                                  const std::vector<std::optional<Bitstring>>& messages) {
+    std::vector<RoundSpec> specs(4, RoundSpec{&messages, 5, nullptr});
+    TransportBatch batch;
+    transport.simulate_rounds_into(specs, batch);  // builds the round, grows arenas
+    transport.simulate_rounds_into(specs, batch);  // everything at high-water
+
+    const std::uint64_t before = alloc_hooks::count();
+    transport.simulate_rounds_into(specs, batch);
+    const std::uint64_t allocs = alloc_hooks::count() - before;
+    EXPECT_GT(batch.arena_words(), 0u);
+    return allocs;
+}
+
 TEST(TransportBatchRing, SteadyStateDecodeAllocatesNothing) {
     // The zero-allocation contract of transport_batch.h: with the codebook
     // round cached (same messages + nonce), a warmed-up batch decode touches
     // the allocator exactly zero times — at one worker and at several, where
     // which worker decodes which node changes from batch to batch. all_nodes
     // below the crossover puts the measurement on the bitslice + SoA + arena
-    // path; two_hop on the per-candidate scalar path.
+    // path; two_hop on the per-candidate scalar path; the 4-shard ring on
+    // the boundary exchange (halo imports written into warm slots).
     Rng rng(9);
     const Graph graph = make_erdos_renyi(48, 0.15, rng);
     const auto messages = make_messages(graph, 10, 77);
-    for (const auto policy : {DictionaryPolicy::all_nodes, DictionaryPolicy::two_hop}) {
-        for (const std::size_t threads : {1, 4}) {
+    const Graph ring = make_ring(256);
+    const auto ring_messages = make_messages(ring, 10, 78);
+    for (const std::size_t threads : {1, 4}) {
+        for (const auto policy : {DictionaryPolicy::all_nodes, DictionaryPolicy::two_hop}) {
             SCOPED_TRACE(::testing::Message()
                          << (policy == DictionaryPolicy::all_nodes ? "all_nodes" : "two_hop")
                          << " threads=" << threads);
             SimulationParams params = forced_params(policy, simd::Kernel::auto_best);
             params.bitslice_min_candidates = 0;
             params.threads = threads;
-            const BeepTransport transport(graph, params);
-
-            std::vector<RoundSpec> specs(4, RoundSpec{&messages, 5, nullptr});
-            TransportBatch batch;
-            transport.simulate_rounds_into(specs, batch);  // builds the round, grows arenas
-            transport.simulate_rounds_into(specs, batch);  // everything at high-water
-
-            const std::uint64_t before = alloc_hooks::count();
-            transport.simulate_rounds_into(specs, batch);
-            const std::uint64_t after = alloc_hooks::count();
-            EXPECT_EQ(after - before, 0u) << "steady-state batched decode allocated";
-            EXPECT_GT(batch.arena_words(), 0u);
+            EXPECT_EQ(steady_state_allocs(BeepTransport(graph, params), messages), 0u)
+                << "steady-state batched decode allocated";
         }
+        SCOPED_TRACE(::testing::Message() << "ring, 4 shards, threads=" << threads);
+        SimulationParams params = forced_params(DictionaryPolicy::two_hop, simd::Kernel::auto_best);
+        params.threads = threads;
+        const BeepTransport sharded(ring, params, 4);
+        ASSERT_EQ(sharded.shard_count(), 4u);
+        EXPECT_EQ(steady_state_allocs(sharded, ring_messages), 0u)
+            << "steady-state sharded decode allocated";
     }
 }
 

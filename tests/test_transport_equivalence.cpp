@@ -3,7 +3,7 @@
 // here is pinned against 64-bit fingerprints captured from the pre-refactor
 // (seed) BeepTransport on the same inputs — across both dictionary
 // policies, with and without a FaultModel — and the outputs must not depend
-// on the worker-thread count.
+// on the shard or worker-thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "sim/codebook_cache.h"
 #include "sim/params.h"
 #include "sim/transport.h"
+#include "transport_goldens.h"
 
 namespace nb {
 
@@ -34,76 +35,7 @@ void PrintTo(DictionaryPolicy policy, std::ostream* os) {
 
 namespace {
 
-std::vector<std::optional<Bitstring>> make_messages(const Graph& graph, std::size_t bits,
-                                                    std::uint64_t seed,
-                                                    double silent_fraction = 0.25) {
-    Rng rng(seed);
-    std::vector<std::optional<Bitstring>> messages(graph.node_count());
-    for (NodeId v = 0; v < graph.node_count(); ++v) {
-        if (!rng.bernoulli(silent_fraction)) {
-            messages[v] = Bitstring::random(rng, bits);
-        }
-    }
-    return messages;
-}
-
-/// Order- and content-sensitive digest of everything a TransportRound
-/// reports. Must stay byte-for-byte in sync with the harness that captured
-/// the golden values from the seed implementation.
-std::uint64_t fingerprint(const TransportRound& round) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    auto mix = [&h](std::uint64_t value) { h = mix64(h ^ value); };
-    for (const auto& messages : round.delivered) {
-        mix(messages.size());
-        for (const auto& message : messages) {
-            mix(message.hash());
-        }
-    }
-    mix(round.beep_rounds);
-    mix(round.total_beeps);
-    mix(round.phase1_false_negatives);
-    mix(round.phase1_false_positives);
-    mix(round.phase2_errors);
-    mix(round.delivery_mismatches);
-    return h;
-}
-
-std::uint64_t run_fingerprint(const BeepTransport& transport,
-                              const std::vector<std::optional<Bitstring>>& messages,
-                              const FaultModel& faults) {
-    std::uint64_t h = 0;
-    for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
-        h = mix64(h ^ fingerprint(transport.simulate_round(messages, nonce, faults)));
-    }
-    return h;
-}
-
-/// The same three-round digest as run_fingerprint, but simulated through a
-/// single batched simulate_rounds call — the goldens must not care which
-/// path produced the rounds.
-std::uint64_t batched_fingerprint(const Transport& transport,
-                                  const std::vector<std::optional<Bitstring>>& messages,
-                                  const FaultModel& faults) {
-    std::vector<RoundSpec> specs;
-    for (std::uint64_t nonce = 0; nonce < 3; ++nonce) {
-        specs.push_back(RoundSpec{&messages, nonce, faults.empty() ? nullptr : &faults});
-    }
-    std::uint64_t h = 0;
-    for (const auto& round : transport.simulate_rounds(specs)) {
-        h = mix64(h ^ fingerprint(round));
-    }
-    return h;
-}
-
-SimulationParams noisy_params(DictionaryPolicy policy, std::size_t threads = 1) {
-    SimulationParams params;
-    params.epsilon = 0.1;
-    params.message_bits = 10;
-    params.c_eps = 4;
-    params.dictionary = policy;
-    params.threads = threads;
-    return params;
-}
+using namespace golden;
 
 void expect_equal_rounds(const TransportRound& a, const TransportRound& b) {
     EXPECT_EQ(a.delivered, b.delivered);
@@ -116,12 +48,8 @@ void expect_equal_rounds(const TransportRound& a, const TransportRound& b) {
     EXPECT_EQ(a.perfect, b.perfect);
 }
 
-// Golden fingerprints captured by running the scenarios below on the seed
-// (pre-codebook) implementation of BeepTransport at commit 6b6a934.
-constexpr std::uint64_t kGoldenTwoHopPlain = 0x82c6aaa1661aa3eaULL;
-constexpr std::uint64_t kGoldenTwoHopFaults = 0x2d7eb0a121342769ULL;
-constexpr std::uint64_t kGoldenAllNodesPlain = 0x82c6aaa1661aa3eaULL;
-constexpr std::uint64_t kGoldenAllNodesFaults = 0xcf836c6fc717b592ULL;
+// Captured on the seed implementation with the fixture goldens
+// (transport_goldens.h).
 constexpr std::uint64_t kGoldenNoiseless = 0x4c90d81a92c67923ULL;
 
 class TransportEquivalence : public ::testing::Test {
@@ -169,17 +97,24 @@ TEST_F(TransportEquivalence, MatchesSeedNoiseless) {
 TEST_F(TransportEquivalence, BatchedRoundsMatchGoldenFingerprints) {
     // simulate_rounds with batch size 3 must reproduce the seed-pinned
     // fingerprints exactly, for both policies, with and without faults, at
-    // every worker count (rounds are built and decoded on the pool).
-    for (const std::size_t threads : {1, 2, 8}) {
-        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-        const BeepTransport two_hop(graph_, noisy_params(DictionaryPolicy::two_hop, threads));
-        EXPECT_EQ(batched_fingerprint(two_hop, messages_, FaultModel{}), kGoldenTwoHopPlain);
-        EXPECT_EQ(batched_fingerprint(two_hop, messages_, faults_), kGoldenTwoHopFaults);
-        const BeepTransport all_nodes(graph_,
-                                      noisy_params(DictionaryPolicy::all_nodes, threads));
-        EXPECT_EQ(batched_fingerprint(all_nodes, messages_, FaultModel{}),
-                  kGoldenAllNodesPlain);
-        EXPECT_EQ(batched_fingerprint(all_nodes, messages_, faults_), kGoldenAllNodesFaults);
+    // every shard and worker count (each round built, exchanged and decoded
+    // per shard on the pool). all_nodes candidate sets are not local, so
+    // that policy clamps every request to the one-shard plan.
+    for (const std::size_t shards : {1, 2, 4, 8}) {
+        for (const std::size_t threads : {1, 2, 8}) {
+            SCOPED_TRACE(::testing::Message() << "shards=" << shards << " threads=" << threads);
+            const BeepTransport two_hop(graph_, noisy_params(DictionaryPolicy::two_hop, threads),
+                                        shards);
+            EXPECT_EQ(two_hop.shard_count(), shards);
+            EXPECT_EQ(batched_fingerprint(two_hop, messages_, FaultModel{}), kGoldenTwoHopPlain);
+            EXPECT_EQ(batched_fingerprint(two_hop, messages_, faults_), kGoldenTwoHopFaults);
+            const BeepTransport all_nodes(
+                graph_, noisy_params(DictionaryPolicy::all_nodes, threads), shards);
+            EXPECT_EQ(all_nodes.shard_count(), 1u);
+            EXPECT_EQ(batched_fingerprint(all_nodes, messages_, FaultModel{}),
+                      kGoldenAllNodesPlain);
+            EXPECT_EQ(batched_fingerprint(all_nodes, messages_, faults_), kGoldenAllNodesFaults);
+        }
     }
 }
 
