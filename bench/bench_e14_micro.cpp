@@ -1,8 +1,9 @@
 // E14 — engine and codec micro-benchmarks (google-benchmark).
 //
 // Throughput of the primitives everything else is built from: word-parallel
-// superimposition, noise injection, codeword generation, threshold and
-// nearest-codeword decoding, and a full Algorithm 1 round.
+// superimposition, noise injection (log reference and skip table, plus the
+// table build), codeword generation, threshold and nearest-codeword
+// decoding, and a full Algorithm 1 round.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -47,6 +48,32 @@ void BM_NoiseInjection(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_NoiseInjection)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// BM_NoiseInjection's flips with the gaps looked up in a GeometricSkipTable
+// (the transports' iid path) instead of computed with a log per flip: the
+// same draws, the same flips.
+void BM_NoiseInjectionTable(benchmark::State& state) {
+    const auto bits = static_cast<std::size_t>(state.range(0));
+    const GeometricSkipTable table(0.1);
+    Rng rng(2);
+    for (auto _ : state) {
+        Bitstring s(bits);
+        s.apply_noise(rng, table);
+        benchmark::DoNotOptimize(s);
+    }
+}
+BENCHMARK(BM_NoiseInjectionTable)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// One table build, paid once per transport; the argument is epsilon in
+// thousandths.
+void BM_GeometricSkipTableBuild(benchmark::State& state) {
+    const double p = static_cast<double>(state.range(0)) / 1000.0;
+    for (auto _ : state) {
+        const GeometricSkipTable table(p);
+        benchmark::DoNotOptimize(table.size());
+    }
+}
+BENCHMARK(BM_GeometricSkipTableBuild)->Arg(100)->Arg(50)->Arg(10)->Unit(benchmark::kMicrosecond);
 
 void BM_BeepCodeword(benchmark::State& state) {
     const BeepCode code(static_cast<std::size_t>(state.range(0)), 256, 3);

@@ -176,7 +176,9 @@ int main() {
 
     std::vector<Measurement> measurements;
     for (const auto kernel : kernels) {
-        measurements.push_back(measure(256, 8, 24, kernel));
+        // n=256 rounds take a few ms each: 160 of them time >= 0.5 s per
+        // path, so one host stall cannot swing a row past the perf gate.
+        measurements.push_back(measure(256, 8, 160, kernel));
         measurements.push_back(measure(1024, 8, 12, kernel));
     }
 

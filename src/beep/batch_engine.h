@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,6 +36,12 @@ struct BatchParams {
     /// if false, the geometric skip sampler is used (same distribution,
     /// O(#flips) expected work). Stateful models are inherently dense.
     bool dense_noise = false;
+
+    /// Gap table for the skip sampler (ChannelModel::skip_table). Null
+    /// means the engine builds its own when the channel has one; the
+    /// transports build one per transport and share it with every round's
+    /// engines.
+    std::shared_ptr<const GeometricSkipTable> skip_table;
 };
 
 class BatchEngine {

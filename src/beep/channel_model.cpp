@@ -110,6 +110,13 @@ double ChannelModel::design_epsilon() const {
     return std::min(eps, 0.49);
 }
 
+std::shared_ptr<const GeometricSkipTable> ChannelModel::skip_table() const {
+    if (kind != ChannelModelKind::iid || epsilon == 0.0) {
+        return nullptr;
+    }
+    return std::make_shared<const GeometricSkipTable>(epsilon);
+}
+
 void ChannelModel::validate() const {
     switch (kind) {
         case ChannelModelKind::iid:
@@ -225,16 +232,19 @@ bool ChannelNoiseSampler::flip_next(bool received) {
     return false;
 }
 
-void ChannelNoiseSampler::apply(Bitstring& transcript, bool dense) {
+void ChannelNoiseSampler::apply(Bitstring& transcript, bool dense,
+                                const GeometricSkipTable* skip_table) {
     fp_channel_sample.check();
     switch (model_.kind) {
         case ChannelModelKind::iid:
         case ChannelModelKind::heterogeneous:
-            // The exact code path the original hard-wired iid noise used —
-            // same rng, same sampler — so iid outputs are bit-identical to
+            // The exact draws the original hard-wired iid noise consumed —
+            // same rng, same skip map — so iid outputs are bit-identical to
             // the pre-ChannelModel implementation.
             if (dense) {
                 transcript.apply_noise_dense(rng_, epsilon_);
+            } else if (skip_table != nullptr && skip_table->p() == epsilon_) {
+                transcript.apply_noise(rng_, *skip_table);
             } else {
                 transcript.apply_noise(rng_, epsilon_);
             }

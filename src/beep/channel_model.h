@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "beep/channel.h"
@@ -109,6 +110,13 @@ struct ChannelModel {
     /// Clamped below 1/2 so it is always a valid SimulationParams epsilon.
     double design_epsilon() const;
 
+    /// The gap table the iid sampler looks its skips up in
+    /// (common/rng.h), or null when the model samples no iid gaps at one
+    /// shared rate: every kind but iid, and iid at epsilon 0. Heterogeneous
+    /// channels keep the reference, since a table per node rate would cost
+    /// more to build than it saves.
+    std::shared_ptr<const GeometricSkipTable> skip_table() const;
+
     /// Validate ranges; throws precondition_error.
     void validate() const;
 
@@ -141,9 +149,13 @@ public:
     /// Apply the whole-transcript noise process in place. For iid and
     /// heterogeneous, `dense` selects one Bernoulli draw per bit (matching
     /// flip_next exactly) versus the geometric-skip sampler (same
-    /// distribution, O(#flips) expected work). Stateful models are always
-    /// dense. Must be used on a fresh sampler (transcript == bits 0..n).
-    void apply(Bitstring& transcript, bool dense);
+    /// distribution, O(#flips) expected work). The skip sampler looks its
+    /// gaps up in `skip_table` when the table was built for this node's
+    /// rate, and computes them otherwise — the same draws and flips either
+    /// way. Stateful models are always dense. Must be used on a fresh
+    /// sampler (transcript == bits 0..n).
+    void apply(Bitstring& transcript, bool dense,
+               const GeometricSkipTable* skip_table = nullptr);
 
 private:
     ChannelModel model_;  ///< by value: temporaries at the call site are fine

@@ -265,28 +265,40 @@ Bitstring Bitstring::scatter(std::size_t size, const std::vector<std::size_t>& p
     return result;
 }
 
-void Bitstring::apply_noise(Rng& rng, double epsilon) {
-    require(epsilon >= 0.0 && epsilon < 1.0, "Bitstring::apply_noise: epsilon must be in [0, 1)");
-    if (epsilon == 0.0 || size_ == 0) {
-        return;
-    }
+template <typename NextSkip>
+void Bitstring::flip_at_gaps(NextSkip next_skip) {
     // Walk the geometric gaps between flipped positions; this is an exact
     // sample of the i.i.d. Bernoulli(epsilon) flip process in O(#flips).
-    // The skip denominator is a loop invariant — hoist the logarithm.
-    const double log1p_neg_eps = std::log1p(-epsilon);
     std::size_t position = 0;
     while (true) {
-        const std::uint64_t skip = rng.geometric_skip_with(log1p_neg_eps);
+        const std::uint64_t skip = next_skip();
         if (skip >= size_ || position + skip >= size_) {
             break;
         }
         position += static_cast<std::size_t>(skip);
-        flip(position);
+        words_[position / bits_per_word] ^= std::uint64_t{1} << (position % bits_per_word);
         ++position;
         if (position >= size_) {
             break;
         }
     }
+}
+
+void Bitstring::apply_noise(Rng& rng, double epsilon) {
+    require(epsilon >= 0.0 && epsilon < 1.0, "Bitstring::apply_noise: epsilon must be in [0, 1)");
+    if (epsilon == 0.0 || size_ == 0) {
+        return;
+    }
+    // The skip denominator is a loop invariant — hoist the logarithm.
+    const double log1p_neg_eps = std::log1p(-epsilon);
+    flip_at_gaps([&] { return rng.geometric_skip_with(log1p_neg_eps); });
+}
+
+void Bitstring::apply_noise(Rng& rng, const GeometricSkipTable& table) {
+    if (size_ == 0) {
+        return;
+    }
+    flip_at_gaps([&] { return table.next_skip(rng); });
 }
 
 void Bitstring::apply_noise_dense(Rng& rng, double epsilon) {

@@ -169,6 +169,11 @@ public:
     /// beeping channel. Uses geometric skip sampling: O(#flips) expected work.
     void apply_noise(Rng& rng, double epsilon);
 
+    /// apply_noise(rng, table.p()) with the skips looked up in `table`
+    /// instead of computed: the same draws and the same flips, without a
+    /// logarithm per flip.
+    void apply_noise(Rng& rng, const GeometricSkipTable& table);
+
     /// Same flip distribution but consuming exactly one Bernoulli draw per
     /// bit, matching RoundEngine's per-round draws; used to cross-validate
     /// the two beep engines bit-for-bit.
@@ -190,6 +195,11 @@ public:
 private:
     void check_same_size(const Bitstring& other, const char* operation) const;
     void clear_padding() noexcept;
+
+    /// The one noise gap walk: flip the bit after each skip `next_skip()`
+    /// returns until a skip runs past the end.
+    template <typename NextSkip>
+    void flip_at_gaps(NextSkip next_skip);
 
     std::vector<std::uint64_t> words_;
     std::size_t size_ = 0;

@@ -93,17 +93,91 @@ std::uint64_t Rng::geometric_skip(double p) {
     return geometric_skip_with(std::log1p(-p));
 }
 
-std::uint64_t Rng::geometric_skip_with(double log1p_neg_p) noexcept {
+std::uint64_t geometric_skip_reference(std::uint64_t draw, double log1p_neg_p) noexcept {
     // Inverse-CDF sampling: floor(log(U) / log(1 - p)) with U in (0, 1].
-    double u = next_double();
-    if (u <= 0.0) {
-        u = 0x1.0p-53;
-    }
+    const double u = draw == 0 ? 0x1.0p-53 : static_cast<double>(draw) * 0x1.0p-53;
     const double skip = std::floor(std::log(u) / log1p_neg_p);
     if (skip >= 9.2e18) {
         return UINT64_MAX;
     }
     return static_cast<std::uint64_t>(skip);
+}
+
+std::uint64_t Rng::geometric_skip_with(double log1p_neg_p) noexcept {
+    return geometric_skip_reference(next_u64() >> 11, log1p_neg_p);
+}
+
+namespace {
+
+/// B_s: the smallest draw in [1, hi] whose reference skip is <= s, where
+/// `hi` is known to qualify (2^53, i.e. u = 1, maps to skip 0 and so
+/// qualifies for every s). Gallops from `guess` to bracket the boundary,
+/// then bisects; with a guess a few draws off that is a handful of
+/// reference evaluations.
+std::uint64_t first_draw_within(std::uint64_t s, std::uint64_t guess, std::uint64_t hi,
+                                double log1p_neg_p) {
+    const auto fits = [&](std::uint64_t draw) {
+        return geometric_skip_reference(draw, log1p_neg_p) <= s;
+    };
+    guess = std::clamp<std::uint64_t>(guess, 1, hi);
+    std::uint64_t lo = 0;  // never fits: B_s >= 1
+    const bool guess_fits = fits(guess);
+    (guess_fits ? hi : lo) = guess;
+    for (std::uint64_t step = 1; hi - lo > step; step *= 2) {
+        const std::uint64_t probe = guess_fits ? hi - step : lo + step;
+        const bool probe_fits = fits(probe);
+        (probe_fits ? hi : lo) = probe;
+        if (probe_fits != guess_fits) {
+            break;
+        }
+    }
+    while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        (fits(mid) ? hi : lo) = mid;
+    }
+    return hi;
+}
+
+}  // namespace
+
+GeometricSkipTable::GeometricSkipTable(double p) : p_(p), log1p_neg_p_(std::log1p(-p)) {
+    require(p > 0.0 && p < 1.0, "GeometricSkipTable: p must be in (0, 1)");
+    // The largest skip any draw maps to is the reference at draw 1 (u =
+    // 2^-53), so the table stops there or at the cap.
+    const std::uint64_t largest = geometric_skip_reference(1, log1p_neg_p_);
+    size_ = largest < kMaxEntries ? static_cast<std::size_t>(largest) + 1 : kMaxEntries;
+
+    // skip <= s  <=>  log(u) / log1p(-p) < s + 1  <=>  u > (1-p)^(s+1), so
+    // B_s sits next to ceil((1-p)^(s+1) * 2^53); the reference settles the
+    // exact draw. B_s <= B_{s-1} bounds each search from above.
+    constexpr std::uint64_t one = std::uint64_t{1} << 53;
+    bounds_.resize(size_ + 1);
+    std::uint64_t hi = one;
+    for (std::size_t s = 0; s < size_; ++s) {
+        const double seed =
+            std::ceil(std::ldexp(std::exp(static_cast<double>(s + 1) * log1p_neg_p_), 53));
+        const auto guess = seed >= static_cast<double>(one) ? one
+                                                             : static_cast<std::uint64_t>(seed);
+        hi = first_draw_within(s, guess, hi, log1p_neg_p_);
+        bounds_[s] = hi;
+    }
+    bounds_[size_] = 0;
+
+    // guide_[g] = the first s with B_s <= the bucket's largest draw: no
+    // draw in the bucket can map below it.
+    guide_.resize(std::size_t{1} << kGuideBits);
+    std::size_t s = 0;
+    for (std::size_t g = guide_.size(); g-- > 0;) {
+        const std::uint64_t largest_draw = ((std::uint64_t{g} + 1) << (53 - kGuideBits)) - 1;
+        while (bounds_[s] > largest_draw) {
+            ++s;
+        }
+        guide_[g] = static_cast<std::uint16_t>(s);
+    }
+    // Bucket 0 (u < 2^-12) spans skips from about 8.3/|log1p(-p)| up to the
+    // largest, thousands of steps at small p: send its draws (one in 4096)
+    // straight to the reference.
+    guide_[0] = static_cast<std::uint16_t>(size_);
 }
 
 std::vector<std::size_t> Rng::distinct_positions(std::size_t universe, std::size_t count) {

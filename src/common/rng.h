@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +20,13 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
 /// One-shot stateless mix of a 64-bit value (splitmix64 finalizer).
 std::uint64_t mix64(std::uint64_t value) noexcept;
+
+/// The reference geometric-skip map, a pure function of one 53-bit draw
+/// (`next_u64() >> 11`): floor(log(u) / log1p_neg_p) for u = draw * 2^-53,
+/// with draw 0 clamped to u = 2^-53 and results >= 9.2e18 saturated to
+/// UINT64_MAX. Rng::geometric_skip_with and GeometricSkipTable are both
+/// defined by it, so every skip the library draws is this map of one draw.
+std::uint64_t geometric_skip_reference(std::uint64_t draw, double log1p_neg_p) noexcept;
 
 /// xoshiro256** generator with convenience sampling methods.
 class Rng {
@@ -80,6 +88,56 @@ public:
 
 private:
     std::array<std::uint64_t, 4> state_{};
+};
+
+/// geometric_skip_reference at one fixed p, by table lookup instead of a
+/// logarithm per skip. The reference map is non-increasing in the draw, so
+/// it is fully described by its thresholds B_s = min{draw >= 1 :
+/// reference(draw) <= s}: the skip of a draw is the smallest s with
+/// B_s <= draw. The table holds B_s for s below kMaxEntries, found by
+/// evaluating the reference itself, and a guide over the draw's top
+/// kGuideBits bits gives each lookup its starting s. Draws whose skip is
+/// past the table (and draw 0) evaluate the reference. So skip(draw) equals
+/// geometric_skip_reference(draw, log1p(-p)) at every draw, as long as the
+/// computed reference is monotone (DESIGN.md section 6).
+/// Read-only after construction: one table serves any number of threads.
+class GeometricSkipTable {
+public:
+    static constexpr std::size_t kMaxEntries = 4096;
+
+    /// Precondition: 0 < p < 1.
+    explicit GeometricSkipTable(double p);
+
+    double p() const noexcept { return p_; }
+    double log1p_neg_p() const noexcept { return log1p_neg_p_; }
+
+    /// Thresholds held: skips below size() are looked up.
+    std::size_t size() const noexcept { return size_; }
+
+    /// B_s for s < size(); 2^53 when no draw maps to s or below.
+    std::uint64_t threshold(std::size_t s) const { return bounds_.at(s); }
+
+    /// The skip of a 53-bit draw.
+    std::uint64_t skip(std::uint64_t draw) const noexcept {
+        std::size_t s = guide_[draw >> (53 - kGuideBits)];
+        while (draw < bounds_[s]) {  // bounds_[size_] == 0 stops the walk
+            ++s;
+        }
+        return s < size_ ? s : geometric_skip_reference(draw, log1p_neg_p_);
+    }
+
+    /// One skip from `rng`: exactly one next_u64(), like
+    /// Rng::geometric_skip_with, and the same value.
+    std::uint64_t next_skip(Rng& rng) const noexcept { return skip(rng.next_u64() >> 11); }
+
+private:
+    static constexpr int kGuideBits = 12;
+
+    double p_;
+    double log1p_neg_p_;
+    std::size_t size_ = 0;
+    std::vector<std::uint64_t> bounds_;  ///< B_0 >= B_1 >= ..., then a 0 sentinel
+    std::vector<std::uint16_t> guide_;   ///< first s that can hold per top-bits bucket
 };
 
 }  // namespace nb

@@ -16,6 +16,7 @@
 #include "common/error.h"
 #include "graph/generators.h"
 #include "sim/transport.h"
+#include "transport_goldens.h"
 
 namespace nb {
 namespace {
@@ -74,15 +75,79 @@ TEST(ChannelModel, IidSamplerMatchesLegacyNoisePath) {
     // The sampler must reproduce Bitstring::apply_noise on the same derived
     // stream — this is the exact hook BatchEngine drives, so equality here
     // is what keeps every pre-ChannelModel golden fingerprint unchanged.
+    // With the model's gap table (what the transports pass) and without
+    // one, the sampler must reproduce the log reference exactly.
     const Rng base(123);
+    const ChannelModel model = ChannelModel::iid(0.17);
+    const auto table = model.skip_table();
+    ASSERT_NE(table, nullptr);
     Bitstring via_sampler(4096);
-    ChannelNoiseSampler sampler(ChannelModel::iid(0.17), 5, base.derive(0x6e6f6973u, 5));
+    ChannelNoiseSampler sampler(model, 5, base.derive(0x6e6f6973u, 5));
     sampler.apply(via_sampler, /*dense=*/false);
+    Bitstring via_table(4096);
+    ChannelNoiseSampler table_sampler(model, 5, base.derive(0x6e6f6973u, 5));
+    table_sampler.apply(via_table, /*dense=*/false, table.get());
 
     Bitstring via_legacy(4096);
     Rng legacy = base.derive(0x6e6f6973u, 5);
     via_legacy.apply_noise(legacy, 0.17);
     EXPECT_EQ(via_sampler, via_legacy);
+    EXPECT_EQ(via_table, via_legacy);
+}
+
+TEST(ChannelModel, SkipTableOnlyForIidWithNoise) {
+    EXPECT_NE(ChannelModel::iid(0.1).skip_table(), nullptr);
+    EXPECT_EQ(ChannelModel::iid(0.0).skip_table(), nullptr);
+    EXPECT_EQ(ChannelModel::heterogeneous(0.1, 0.1, 1).skip_table(), nullptr);
+    EXPECT_EQ(ChannelModel::gilbert_elliott(0.1, 0.2, 0.05, 0.4).skip_table(), nullptr);
+    EXPECT_EQ(ChannelModel::adversarial_budget(4).skip_table(), nullptr);
+    EXPECT_DOUBLE_EQ(ChannelModel::iid(0.1).skip_table()->p(), 0.1);
+}
+
+TEST(ChannelModel, TransportOutputsMatchPinnedFingerprints) {
+    // Fingerprints captured from the log-reference sampler, before the
+    // iid path looked its gaps up in a table. The heterogeneous,
+    // Gilbert-Elliott and adversarial models never use the table; the iid
+    // rows do. High noise at c_eps = 3 makes every row decode with errors,
+    // so the digests see the noise itself, not just clean deliveries.
+    Rng graph_rng(42);
+    const Graph g = make_erdos_renyi(32, 0.18, graph_rng);
+    const auto messages = golden::make_messages(g, 10, 1234);
+    const struct {
+        ChannelModel model;
+        std::uint64_t transport;
+        std::uint64_t engine;  ///< hear_all over random 8640-bit schedules
+    } cases[] = {
+        {ChannelModel::iid(0.3), 0xcac1faa30c134c42ULL, 0x461a3bc3b6ad9f1aULL},
+        {ChannelModel::iid(0.2), 0x47b65905802d3737ULL, 0xfc56e63268f2b766ULL},
+        {ChannelModel::heterogeneous(0.1, 0.45, 0x9), 0x7549e57a55d9ce07ULL,
+         0xd41da106c8b61cfbULL},
+        {ChannelModel::gilbert_elliott(0.1, 0.15, 0.1, 0.45), 0x18d83741e8423dbaULL,
+         0x0a6aab85ce802e62ULL},
+        {ChannelModel::adversarial_budget(400), 0xbed7d19be562c95eULL, 0x40d6228a265710d0ULL},
+    };
+    for (const auto& c : cases) {
+        SimulationParams params = golden::noisy_params(DictionaryPolicy::two_hop);
+        params.channel = c.model;
+        params.c_eps = 3;
+        const BeepTransport transport(g, params);
+        EXPECT_EQ(golden::run_fingerprint(transport, messages, FaultModel{}), c.transport)
+            << c.model.describe();
+
+        BatchParams batch;
+        batch.channel = c.model;
+        const BatchEngine engine(g, batch, Rng(77));
+        Rng schedule_rng(5);
+        std::vector<Bitstring> schedules;
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+            schedules.push_back(Bitstring::random(schedule_rng, 8640));
+        }
+        std::uint64_t h = 0;
+        for (const auto& heard : engine.hear_all(schedules)) {
+            h = mix64(h ^ heard.hash());
+        }
+        EXPECT_EQ(h, c.engine) << c.model.describe();
+    }
 }
 
 TEST(ChannelModel, GilbertElliottBurstStatistics) {
