@@ -47,7 +47,6 @@ TdmaTransport::TdmaTransport(const Graph& graph, TdmaParams params)
     color_count_ = graph_.node_count() == 0 ? 0 : nb::color_count(colors_);
     pool_ = std::make_unique<ThreadPool>(
         ThreadPool::worker_count_for(params_.threads, graph_.node_count()));
-    skip_table_ = params_.channel_model().skip_table();
 }
 
 std::size_t TdmaTransport::rounds_per_broadcast_round() const {
@@ -132,7 +131,7 @@ TransportRound TdmaTransport::decode_round(const ScheduleCache& cache,
     const std::size_t slot_bits = payload_bits * params_.repetitions;
 
     const Rng round_rng = Rng(params_.transport_seed).derive(0x726f756eu, round_nonce);
-    const BatchParams channel{params_.channel_model(), false, skip_table_};
+    const BatchParams channel{params_.channel_model(), false};
     const BatchEngine engine(graph_, channel, round_rng);
     engine.check_schedules(cache.schedules);  // once per round, not per node
 

@@ -103,7 +103,6 @@ private:
     std::vector<std::size_t> colors_;
     std::size_t color_count_ = 0;
     std::unique_ptr<ThreadPool> pool_;
-    std::shared_ptr<const GeometricSkipTable> skip_table_;  ///< shared by every round
 
     mutable std::mutex cache_mutex_;
     mutable std::shared_ptr<const ScheduleCache> cached_;

@@ -12,8 +12,8 @@ BatchEngine::BatchEngine(const Graph& graph, BatchParams params, Rng rng)
     // noisy too, footnote 2) is the only one supported here.
     require(params_.channel.noise_on_own_beep,
             "BatchEngine: only the paper convention (noise_on_own_beep) is supported");
-    if (params_.skip_table == nullptr && !params_.dense_noise) {
-        params_.skip_table = params_.channel.skip_table();
+    if (!params_.dense_noise) {
+        skip_table_ = params_.channel.skip_table();
     }
 }
 
@@ -66,7 +66,7 @@ void BatchEngine::hear_into(NodeId node, const std::vector<Bitstring>& schedules
         // engines key the stream (and the per-node channel) by global id.
         const NodeId id = global_ids_.empty() ? node : global_ids_[node];
         ChannelNoiseSampler noise(params_.channel, id, rng_.derive(0x6e6f6973u, id));
-        noise.apply(out, params_.dense_noise, params_.skip_table.get());
+        noise.apply(out, params_.dense_noise, skip_table_ ? &*skip_table_ : nullptr);
     }
 }
 

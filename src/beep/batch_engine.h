@@ -14,7 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,12 +36,6 @@ struct BatchParams {
     /// if false, the geometric skip sampler is used (same distribution,
     /// O(#flips) expected work). Stateful models are inherently dense.
     bool dense_noise = false;
-
-    /// Gap table for the skip sampler (ChannelModel::skip_table). Null
-    /// means the engine builds its own when the channel has one; the
-    /// transports build one per transport and share it with every round's
-    /// engines.
-    std::shared_ptr<const GeometricSkipTable> skip_table;
 };
 
 class BatchEngine {
@@ -101,6 +95,9 @@ private:
     BatchParams params_;
     Rng rng_;
     std::span<const std::uint32_t> global_ids_;  ///< empty = identity mapping
+    /// The skip sampler's gap table (ChannelModel::skip_table); none for
+    /// dense noise and for channels without one.
+    std::optional<GeometricSkipTable> skip_table_;
 };
 
 }  // namespace nb

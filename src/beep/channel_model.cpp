@@ -110,11 +110,11 @@ double ChannelModel::design_epsilon() const {
     return std::min(eps, 0.49);
 }
 
-std::shared_ptr<const GeometricSkipTable> ChannelModel::skip_table() const {
+std::optional<GeometricSkipTable> ChannelModel::skip_table() const {
     if (kind != ChannelModelKind::iid || epsilon == 0.0) {
-        return nullptr;
+        return std::nullopt;
     }
-    return std::make_shared<const GeometricSkipTable>(epsilon);
+    return GeometricSkipTable(epsilon);
 }
 
 void ChannelModel::validate() const {
@@ -243,7 +243,7 @@ void ChannelNoiseSampler::apply(Bitstring& transcript, bool dense,
             // the pre-ChannelModel implementation.
             if (dense) {
                 transcript.apply_noise_dense(rng_, epsilon_);
-            } else if (skip_table != nullptr && skip_table->p() == epsilon_) {
+            } else if (skip_table != nullptr) {
                 transcript.apply_noise(rng_, *skip_table);
             } else {
                 transcript.apply_noise(rng_, epsilon_);

@@ -34,7 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "beep/channel.h"
@@ -111,11 +111,11 @@ struct ChannelModel {
     double design_epsilon() const;
 
     /// The gap table the iid sampler looks its skips up in
-    /// (common/rng.h), or null when the model samples no iid gaps at one
+    /// (common/rng.h), or none when the model samples no iid gaps at one
     /// shared rate: every kind but iid, and iid at epsilon 0. Heterogeneous
     /// channels keep the reference, since a table per node rate would cost
     /// more to build than it saves.
-    std::shared_ptr<const GeometricSkipTable> skip_table() const;
+    std::optional<GeometricSkipTable> skip_table() const;
 
     /// Validate ranges; throws precondition_error.
     void validate() const;
@@ -150,10 +150,10 @@ public:
     /// heterogeneous, `dense` selects one Bernoulli draw per bit (matching
     /// flip_next exactly) versus the geometric-skip sampler (same
     /// distribution, O(#flips) expected work). The skip sampler looks its
-    /// gaps up in `skip_table` when the table was built for this node's
-    /// rate, and computes them otherwise — the same draws and flips either
-    /// way. Stateful models are always dense. Must be used on a fresh
-    /// sampler (transcript == bits 0..n).
+    /// gaps up in `skip_table` when one is given (the model's own
+    /// skip_table(), so iid only) and computes them otherwise — the same
+    /// draws and flips either way. Stateful models are always dense. Must
+    /// be used on a fresh sampler (transcript == bits 0..n).
     void apply(Bitstring& transcript, bool dense,
                const GeometricSkipTable* skip_table = nullptr);
 

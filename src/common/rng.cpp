@@ -151,7 +151,6 @@ GeometricSkipTable::GeometricSkipTable(double p) : p_(p), log1p_neg_p_(std::log1
     // B_s sits next to ceil((1-p)^(s+1) * 2^53); the reference settles the
     // exact draw. B_s <= B_{s-1} bounds each search from above.
     constexpr std::uint64_t one = std::uint64_t{1} << 53;
-    bounds_.resize(size_ + 1);
     std::uint64_t hi = one;
     for (std::size_t s = 0; s < size_; ++s) {
         const double seed =
@@ -165,7 +164,6 @@ GeometricSkipTable::GeometricSkipTable(double p) : p_(p), log1p_neg_p_(std::log1
 
     // guide_[g] = the first s with B_s <= the bucket's largest draw: no
     // draw in the bucket can map below it.
-    guide_.resize(std::size_t{1} << kGuideBits);
     std::size_t s = 0;
     for (std::size_t g = guide_.size(); g-- > 0;) {
         const std::uint64_t largest_draw = ((std::uint64_t{g} + 1) << (53 - kGuideBits)) - 1;

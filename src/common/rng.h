@@ -101,6 +101,9 @@ private:
 /// geometric_skip_reference(draw, log1p(-p)) at every draw, as long as the
 /// computed reference is monotone (DESIGN.md section 6).
 /// Read-only after construction: one table serves any number of threads.
+/// The arrays are inline (about 40 KB), so building one allocates nothing:
+/// each BatchEngine builds its own every round without breaking the
+/// transports' zero-allocation steady state.
 class GeometricSkipTable {
 public:
     static constexpr std::size_t kMaxEntries = 4096;
@@ -136,8 +139,10 @@ private:
     double p_;
     double log1p_neg_p_;
     std::size_t size_ = 0;
-    std::vector<std::uint64_t> bounds_;  ///< B_0 >= B_1 >= ..., then a 0 sentinel
-    std::vector<std::uint16_t> guide_;   ///< first s that can hold per top-bits bucket
+    /// B_0 >= B_1 >= ... >= B_{size_-1}, then a 0 sentinel; the rest unused.
+    std::array<std::uint64_t, kMaxEntries + 1> bounds_{};
+    /// First s that can hold per top-bits bucket.
+    std::array<std::uint16_t, std::size_t{1} << kGuideBits> guide_;
 };
 
 }  // namespace nb

@@ -93,7 +93,6 @@ BeepTransport::BeepTransport(const Graph& graph, SimulationParams params,
         table_words_ += shard.exports.size() * 2 * words_per_schedule_;
     }
     pool_ = std::make_unique<ThreadPool>(ThreadPool::worker_count_for(params_.threads, n));
-    skip_table_ = params_.channel_model().skip_table();
 }
 
 std::size_t BeepTransport::rounds_per_broadcast_round() const {
@@ -247,10 +246,9 @@ void BeepTransport::RoundJob::decode(std::size_t s) const {
     // epsilon. Noise streams key by global id and derive from the same
     // round rng in every shard, so per-node noise is independent of the
     // partition. Schedule sets are validated once per round here, not once
-    // per node inside hear_into. Both engines borrow the transport's gap
-    // table.
+    // per node inside hear_into.
     const SimulationParams& params = transport.params_;
-    const BatchParams channel{params.channel_model(), false, transport.skip_table_};
+    const BatchParams channel{params.channel_model(), false};
     const BatchEngine phase1_engine(*shard.graph, channel, round.rng.derive(0x70683161u),
                                     shard.ids);
     const BatchEngine phase2_engine(*shard.graph, channel, round.rng.derive(0x70683262u),

@@ -203,9 +203,6 @@ private:
     ShardPlan plan_;  ///< empty for the one-shard plan
     std::vector<Shard> shards_;
     std::unique_ptr<ThreadPool> pool_;
-    /// Noise gap table every round's engines share (null unless the
-    /// channel is iid with epsilon > 0).
-    std::shared_ptr<const GeometricSkipTable> skip_table_;
 
     // Boundary-table layout, fixed at construction: each export row is
     // 2 * words_per_schedule_ words (phase-1 codeword, then phase-2

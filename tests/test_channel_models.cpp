@@ -75,18 +75,18 @@ TEST(ChannelModel, IidSamplerMatchesLegacyNoisePath) {
     // The sampler must reproduce Bitstring::apply_noise on the same derived
     // stream — this is the exact hook BatchEngine drives, so equality here
     // is what keeps every pre-ChannelModel golden fingerprint unchanged.
-    // With the model's gap table (what the transports pass) and without
+    // With the model's gap table (what BatchEngine passes) and without
     // one, the sampler must reproduce the log reference exactly.
     const Rng base(123);
     const ChannelModel model = ChannelModel::iid(0.17);
     const auto table = model.skip_table();
-    ASSERT_NE(table, nullptr);
+    ASSERT_TRUE(table.has_value());
     Bitstring via_sampler(4096);
     ChannelNoiseSampler sampler(model, 5, base.derive(0x6e6f6973u, 5));
     sampler.apply(via_sampler, /*dense=*/false);
     Bitstring via_table(4096);
     ChannelNoiseSampler table_sampler(model, 5, base.derive(0x6e6f6973u, 5));
-    table_sampler.apply(via_table, /*dense=*/false, table.get());
+    table_sampler.apply(via_table, /*dense=*/false, &*table);
 
     Bitstring via_legacy(4096);
     Rng legacy = base.derive(0x6e6f6973u, 5);
@@ -96,11 +96,11 @@ TEST(ChannelModel, IidSamplerMatchesLegacyNoisePath) {
 }
 
 TEST(ChannelModel, SkipTableOnlyForIidWithNoise) {
-    EXPECT_NE(ChannelModel::iid(0.1).skip_table(), nullptr);
-    EXPECT_EQ(ChannelModel::iid(0.0).skip_table(), nullptr);
-    EXPECT_EQ(ChannelModel::heterogeneous(0.1, 0.1, 1).skip_table(), nullptr);
-    EXPECT_EQ(ChannelModel::gilbert_elliott(0.1, 0.2, 0.05, 0.4).skip_table(), nullptr);
-    EXPECT_EQ(ChannelModel::adversarial_budget(4).skip_table(), nullptr);
+    EXPECT_TRUE(ChannelModel::iid(0.1).skip_table().has_value());
+    EXPECT_FALSE(ChannelModel::iid(0.0).skip_table().has_value());
+    EXPECT_FALSE(ChannelModel::heterogeneous(0.1, 0.1, 1).skip_table().has_value());
+    EXPECT_FALSE(ChannelModel::gilbert_elliott(0.1, 0.2, 0.05, 0.4).skip_table().has_value());
+    EXPECT_FALSE(ChannelModel::adversarial_budget(4).skip_table().has_value());
     EXPECT_DOUBLE_EQ(ChannelModel::iid(0.1).skip_table()->p(), 0.1);
 }
 
