@@ -42,8 +42,7 @@ TdmaTransport::TdmaTransport(const Graph& graph, TdmaParams params)
         require(params_.channel->noise_on_own_beep,
                 "TdmaTransport: transports require noise_on_own_beep");
     }
-    colors_ = params_.shared_coloring ? CodebookCache::instance().coloring(graph_)
-                                      : greedy_distance2_coloring(graph_);
+    colors_ = CodebookCache::instance().coloring(graph_);
     color_count_ = graph_.node_count() == 0 ? 0 : nb::color_count(colors_);
     pool_ = std::make_unique<ThreadPool>(
         ThreadPool::worker_count_for(params_.threads, graph_.node_count()));
@@ -54,26 +53,19 @@ std::size_t TdmaTransport::rounds_per_broadcast_round() const {
     return color_count_ * (params_.message_bits + 1) * params_.repetitions;
 }
 
-std::shared_ptr<const TdmaTransport::ScheduleCache> TdmaTransport::schedules_for(
-    const std::vector<std::optional<Bitstring>>& messages) const {
-    {
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        if (cached_ != nullptr && cached_->messages == messages) {
-            return cached_;
-        }
-    }
-
+void TdmaTransport::pack_schedules(const std::vector<std::optional<Bitstring>>& messages,
+                                   std::vector<Bitstring>& schedules) const {
     const std::size_t n = graph_.node_count();
     const std::size_t payload_bits = params_.message_bits + 1;
     const std::size_t slot_bits = payload_bits * params_.repetitions;
     const std::size_t total_bits = rounds_per_broadcast_round();
 
-    // Build beep schedules: node v transmits its payload (presence bit, then
-    // message bits), each bit repeated, inside its color's slot.
-    auto cache = std::make_shared<ScheduleCache>();
-    cache->schedules.reserve(n);
+    // Node v transmits its payload (presence bit, then message bits), each
+    // bit repeated, inside its color's slot.
+    schedules.resize(n);
     for (NodeId v = 0; v < n; ++v) {
-        Bitstring schedule(total_bits);
+        Bitstring& schedule = schedules[v];
+        schedule.reset(total_bits);
         if (messages[v].has_value()) {
             require(messages[v]->size() <= params_.message_bits,
                     "TdmaTransport: message exceeds the bit budget");
@@ -90,14 +82,7 @@ std::shared_ptr<const TdmaTransport::ScheduleCache> TdmaTransport::schedules_for
                 write_bit(1 + i, messages[v]->test(i));
             }
         }
-        cache->schedules.push_back(std::move(schedule));
     }
-    cache->total_beeps = BatchEngine::total_beeps(cache->schedules);
-    cache->messages = messages;
-
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    cached_ = cache;
-    return cache;
 }
 
 std::vector<TransportRound> TdmaTransport::simulate_rounds(
@@ -114,15 +99,27 @@ std::vector<TransportRound> TdmaTransport::simulate_rounds(
     results.reserve(specs.size());
     // Decode buffers are per batch: sized on the first round, reused by all.
     std::vector<Bitstring> heard_buffers(pool_->worker_count());
+    // Schedules depend only on the messages, and RoundSpec's pointee stays
+    // alive and unchanged for the whole call: a run of specs sharing one
+    // messages vector packs once.
+    std::vector<Bitstring> schedules;
+    std::size_t total_beeps = 0;
+    const std::vector<std::optional<Bitstring>>* packed = nullptr;
     for (const auto& spec : specs) {
         cancel_poll();  // round boundary, same contract as BeepTransport
-        const std::shared_ptr<const ScheduleCache> cache = schedules_for(*spec.messages);
-        results.push_back(decode_round(*cache, *spec.messages, spec.nonce, heard_buffers));
+        if (spec.messages != packed) {
+            pack_schedules(*spec.messages, schedules);
+            total_beeps = BatchEngine::total_beeps(schedules);
+            packed = spec.messages;
+        }
+        results.push_back(
+            decode_round(schedules, total_beeps, *spec.messages, spec.nonce, heard_buffers));
     }
     return results;
 }
 
-TransportRound TdmaTransport::decode_round(const ScheduleCache& cache,
+TransportRound TdmaTransport::decode_round(const std::vector<Bitstring>& schedules,
+                                           std::size_t total_beeps,
                                            const std::vector<std::optional<Bitstring>>& messages,
                                            std::uint64_t round_nonce,
                                            std::vector<Bitstring>& heard_buffers) const {
@@ -133,11 +130,11 @@ TransportRound TdmaTransport::decode_round(const ScheduleCache& cache,
     const Rng round_rng = Rng(params_.transport_seed).derive(0x726f756eu, round_nonce);
     const BatchParams channel{params_.channel_model(), false};
     const BatchEngine engine(graph_, channel, round_rng);
-    engine.check_schedules(cache.schedules);  // once per round, not per node
+    engine.check_schedules(schedules);  // once per round, not per node
 
     TransportRound result;
     result.beep_rounds = rounds_per_broadcast_round();
-    result.total_beeps = cache.total_beeps;
+    result.total_beeps = total_beeps;
     result.delivered.resize(n);
 
     const std::size_t majority = params_.repetitions / 2 + 1;
@@ -145,7 +142,7 @@ TransportRound TdmaTransport::decode_round(const ScheduleCache& cache,
     pool_->parallel_for(n, [&](std::size_t worker, std::size_t node) {
         const auto v = static_cast<NodeId>(node);
         Bitstring& heard = heard_buffers[worker];
-        engine.hear_into(v, cache.schedules, heard);
+        engine.hear_into(v, schedules, heard);
         // Decode one message per neighbor from that neighbor's color slot
         // (the setup coloring tells v when each neighbor transmits).
         for (const auto u : graph_.neighbors(v)) {

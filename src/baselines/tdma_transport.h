@@ -12,14 +12,16 @@
 // beep rounds with #colors <= min{n, Delta^2 + 1} — the Theta(min{n,
 // Delta^2}) overhead gap to Algorithm 1 that the paper eliminates.
 //
-// The coloring itself is computed centrally here, standing in for the
+// The coloring itself is computed centrally, standing in for the
 // baselines' distributed setup phases (Delta^6 rounds in [7], O(Delta^4
-// log n) in [4]); setup costs are charged via baselines/cost_models.h.
+// log n) in [4]); setup costs are charged via baselines/cost_models.h. It is
+// a pure function of the graph, so every transport takes it from the
+// process-wide CodebookCache (sim/codebook_cache.h), which computes it once
+// per graph.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -42,12 +44,6 @@ struct TdmaParams {
     /// rate the majority-decode repetitions are sized for.
     std::optional<ChannelModel> channel;
 
-    /// Fetch the greedy G^2 coloring (this baseline's expensive setup) from
-    /// the process-wide CodebookCache instead of recomputing per transport.
-    /// The coloring is a pure function of the graph, so sharing cannot
-    /// change any output; false restores the private computation.
-    bool shared_coloring = true;
-
     /// The effective channel driven through BatchEngine.
     ChannelModel channel_model() const {
         return channel.has_value() ? *channel : ChannelModel::iid(epsilon);
@@ -60,13 +56,14 @@ struct TdmaParams {
 
 class TdmaTransport final : public Transport {
 public:
-    /// The graph must outlive the transport. Computes the greedy G^2
-    /// coloring once at construction.
+    /// The graph must outlive the transport. Takes the greedy G^2 coloring
+    /// from the CodebookCache at construction.
     TdmaTransport(const Graph& graph, TdmaParams params);
 
     /// Batched rounds (specs must carry no FaultModel — the baseline does
-    /// not model faults). Schedule packing is cached per messages vector and
-    /// decode buffers are reused across the whole batch.
+    /// not model faults). Schedules are packed again only when a spec's
+    /// messages pointer differs from the previous spec's, and decode buffers
+    /// are reused across the whole batch.
     std::vector<TransportRound> simulate_rounds(
         std::span<const RoundSpec> specs) const override;
 
@@ -80,20 +77,13 @@ public:
     const TdmaParams& params() const noexcept { return params_; }
 
 private:
-    /// The baseline's analogue of the Codebook round cache: TDMA schedules
-    /// depend only on the messages (slots are fixed by the coloring), so
-    /// repeated rounds with unchanged messages reuse the packed schedules
-    /// and their energy total.
-    struct ScheduleCache {
-        std::vector<Bitstring> schedules;
-        std::size_t total_beeps = 0;
-        std::vector<std::optional<Bitstring>> messages;  ///< the cache key
-    };
+    /// Overwrite `schedules` with each node's beep schedule for `messages`
+    /// (slots are fixed by the coloring), reusing its storage.
+    void pack_schedules(const std::vector<std::optional<Bitstring>>& messages,
+                        std::vector<Bitstring>& schedules) const;
 
-    std::shared_ptr<const ScheduleCache> schedules_for(
-        const std::vector<std::optional<Bitstring>>& messages) const;
-
-    TransportRound decode_round(const ScheduleCache& cache,
+    TransportRound decode_round(const std::vector<Bitstring>& schedules,
+                                std::size_t total_beeps,
                                 const std::vector<std::optional<Bitstring>>& messages,
                                 std::uint64_t round_nonce,
                                 std::vector<Bitstring>& heard_buffers) const;
@@ -103,9 +93,6 @@ private:
     std::vector<std::size_t> colors_;
     std::size_t color_count_ = 0;
     std::unique_ptr<ThreadPool> pool_;
-
-    mutable std::mutex cache_mutex_;
-    mutable std::shared_ptr<const ScheduleCache> cached_;
 };
 
 }  // namespace nb

@@ -82,11 +82,6 @@ public:
     /// Shard-view build: `graph` is the shard's local closure graph.
     Codebook(const Graph& graph, const SimulationParams& params, ShardView view);
 
-    /// The view this codebook was built through, or nullptr when unsharded.
-    const ShardView* shard_view() const noexcept {
-        return view_.has_value() ? &*view_ : nullptr;
-    }
-
     const BeepCode& beep_code() const noexcept { return combined_.beep(); }
     const DistanceCode& distance_code() const noexcept { return combined_.distance(); }
     const CombinedCode& combined_code() const noexcept { return combined_; }

@@ -11,9 +11,9 @@
 // c_eps is a constant depending only on the noise rate epsilon. The paper's
 // proofs need c_eps >= max of five expressions (Lemmas 9 and 10) — hundreds
 // for realistic epsilon. That is a worst-case union-bound artifact: much
-// smaller constants already give >99% per-round success empirically (bench
-// E13 maps the frontier). Mode::paper uses the proof constants; Mode::tuned
-// (default) uses a small calibrated constant.
+// smaller constants already suffice at simulation scale (bench E13 maps the
+// epsilon -> c_eps frontier). SimulationParams::c_eps defaults to such a small
+// constant; SimulationParams::paper_c_eps(epsilon) gives the proof constant.
 #pragma once
 
 #include <cstddef>
@@ -24,11 +24,6 @@
 #include "common/simd/simd.h"
 
 namespace nb {
-
-enum class ConstantsMode {
-    paper,  ///< c_eps from the Lemma 9/10 bounds (huge; toy sizes only)
-    tuned,  ///< small empirical constant (default)
-};
 
 /// Which candidate inputs a node's decoder tests (see DESIGN.md section 3).
 enum class DictionaryPolicy {
@@ -95,15 +90,6 @@ struct SimulationParams {
     /// never values — so the field is deliberately NOT part of the codebook
     /// cache key or any fingerprint.
     simd::Kernel simd_kernel = simd::Kernel::auto_best;
-
-    /// Consult the process-wide CodebookCache (sim/codebook_cache.h)
-    /// instead of building a private Codebook: transports agreeing on the
-    /// codebook-relevant fields (graph adjacency, message_bits, c_eps,
-    /// seeds, decoy_count, dictionary, bitslice threshold — NOT epsilon,
-    /// channel, or threads) share one build. Outputs are bit-identical
-    /// either way (golden-pinned); false restores the once-per-transport
-    /// build whose Codebook::stats() count only this transport's work.
-    bool shared_codebook = true;
 
     /// Validate ranges; throws precondition_error.
     void validate() const;

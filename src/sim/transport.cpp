@@ -58,11 +58,7 @@ BeepTransport::BeepTransport(const Graph& graph, SimulationParams params,
         Shard& shard = shards_.emplace_back();
         shard.graph = &graph_;
         shard.owned_count = static_cast<std::uint32_t>(n);
-        if (params_.shared_codebook) {
-            shard.shared = cache.acquire(graph_, params_);
-        } else {
-            shard.owned = std::make_unique<Codebook>(graph_, params_);
-        }
+        shard.codebook = cache.acquire(graph_, params_);
     }
     for (const ShardPlan::Shard& sh : plan_.shards) {
         Shard& shard = shards_.emplace_back();
@@ -78,14 +74,7 @@ BeepTransport::BeepTransport(const Graph& graph, SimulationParams params,
         view.owned_count = sh.owned_count;
         view.global_node_count = n;
         view.global_max_degree = graph_.max_degree();
-        if (params_.shared_codebook) {
-            shard.shared = cache.acquire(sh.local, params_, view);
-        } else {
-            shard.owned = std::make_unique<Codebook>(sh.local, params_, std::move(view));
-        }
-    }
-    for (Shard& shard : shards_) {
-        shard.codebook = shard.shared != nullptr ? &shard.shared->codebook() : shard.owned.get();
+        shard.codebook = cache.acquire(sh.local, params_, view);
     }
     words_per_schedule_ = (codebook().beep_length() + 63) / 64;
     for (Shard& shard : shards_) {
@@ -154,7 +143,7 @@ void BeepTransport::RoundJob::build(std::size_t s) const {
         }
         messages = &sr.messages;
     }
-    sr.round = shard.codebook->round(*messages, spec->nonce, transport.pool_.get());
+    sr.round = transport.codebook(s).round(*messages, spec->nonce, transport.pool_.get());
 
     const std::size_t wb = transport.words_per_schedule_;
     std::uint64_t* row = batch.scratch_->table.data() + shard.row_offset_words;
@@ -169,7 +158,7 @@ void BeepTransport::RoundJob::decode(std::size_t s) const {
     const Shard& shard = transport.shards_[s];
     TransportBatch::Scratch& scratch = *batch.scratch_;
     ShardScratch& sr = scratch.shards[s];
-    const Codebook& codebook = *shard.codebook;
+    const Codebook& codebook = transport.codebook(s);
     const Codebook::Round& round = *sr.round;
     const std::size_t ln = shard.graph->node_count();
     const std::size_t b = codebook.beep_length();
@@ -363,8 +352,7 @@ void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
         // batch allocates nothing whichever nodes each worker claims.
         for (std::size_t s = 0; s < k; ++s) {
             for (std::size_t w = 0; w < workers; ++w) {
-                transport_detail::reserve_workspace(*shards_[s].codebook,
-                                                    *scratch.shards[s].round,
+                transport_detail::reserve_workspace(codebook(s), *scratch.shards[s].round,
                                                     batch.message_words(), scratch.workspaces[w]);
             }
         }

@@ -126,8 +126,9 @@ public:
 /// and any worker count.
 ///
 /// The default is a one-shard plan: the closure is the whole graph with
-/// identity ids, the codebook is the plain Codebook(graph, params), there
-/// are no imports or exports, and the exchange is skipped.
+/// identity ids, the codebook is the plain (graph, params) build, there are
+/// no imports or exports, and the exchange is skipped. Every shard's
+/// codebook comes from the process-wide CodebookCache (codebook_cache.h).
 class BeepTransport final : public Transport {
 public:
     /// The graph must outlive the transport. `shard_count` is clamped to
@@ -173,10 +174,12 @@ public:
     std::size_t shard_count() const noexcept { return shards_.size(); }
 
     /// The code/dictionary cache shard `shard` decodes with (see
-    /// codebook.h): the process-wide shared build when
-    /// params.shared_codebook (possibly serving other transports too, so
-    /// its stats() aggregate across them), otherwise a private build.
-    const Codebook& codebook(std::size_t shard = 0) const { return *shards_[shard].codebook; }
+    /// codebook.h): the process-wide CodebookCache's build for this key,
+    /// which other transports may share, so its stats() aggregate across
+    /// every transport on that entry.
+    const Codebook& codebook(std::size_t shard = 0) const {
+        return shards_[shard].codebook->codebook();
+    }
 
 private:
     /// One shard's closure and codebook. A one-shard plan's closure is
@@ -190,9 +193,7 @@ private:
         std::span<const std::uint32_t> exports;      ///< owned locals, one table row each
         std::span<const ShardPlan::Import> imports;  ///< halo locals and their rows
         std::size_t row_offset_words = 0;            ///< first word of this shard's rows
-        std::shared_ptr<const SharedCodebook> shared;  ///< cache-owned
-        std::unique_ptr<Codebook> owned;               ///< private build
-        const Codebook* codebook = nullptr;
+        std::shared_ptr<const SharedCodebook> codebook;  ///< from CodebookCache
     };
 
     /// One round's two per-shard stages (defined in transport.cpp).

@@ -35,11 +35,8 @@ TEST(CodebookCacheProperty, HitIsBitIdenticalToFreshBuildForEveryShippedSpec) {
             continue;
         }
 
-        // A fresh private build (cache bypassed) is the reference.
-        SimulationParams private_params = spec.sim_params();
-        private_params.shared_codebook = false;
-        const BeepTransport reference(graph, private_params);
-        const std::uint64_t expected = reference.codebook().fingerprint();
+        // A fresh build outside the cache is the reference.
+        const std::uint64_t expected = Codebook(graph, spec.sim_params()).fingerprint();
 
         // Cache-enabled transports at thread counts 1/2/8 must all decode
         // through a codebook with the reference fingerprint — and through
@@ -206,10 +203,7 @@ TEST(CodebookCacheProperty, ColoringCacheServesTdmaTransports) {
     const TdmaTransport second(graph, params);
     EXPECT_EQ(first.colors(), second.colors());
 
-    TdmaParams private_params = params;
-    private_params.shared_coloring = false;
-    const TdmaTransport reference(graph, private_params);
-    EXPECT_EQ(first.colors(), reference.colors());
+    EXPECT_EQ(first.colors(), greedy_distance2_coloring(graph));
 
     const auto stats = CodebookCache::instance().stats();
     EXPECT_EQ(stats.coloring_builds, 1u);

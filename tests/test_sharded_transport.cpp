@@ -118,9 +118,24 @@ TEST_F(ShardedTransportTest, GoldenFingerprintsForEveryShardAndWorkerCount) {
 }
 
 TEST_F(ShardedTransportTest, PrivateCodebooksMatchSharedCacheBuilds) {
-    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
-    params.shared_codebook = false;
+    // Each shard's cached codebook is bit-identical to a shard-view build
+    // made directly from the same plan, outside the cache.
+    const SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
     const BeepTransport transport(graph_, params, 4);
+    const ShardPlan plan = make_shard_plan(graph_, 4);
+    ASSERT_EQ(transport.shard_count(), plan.shards.size());
+    for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+        SCOPED_TRACE(::testing::Message() << "shard=" << s);
+        const ShardPlan::Shard& sh = plan.shards[s];
+        Codebook::ShardView view;
+        view.global_ids = sh.local_to_global;
+        view.owned_begin = sh.owned_begin;
+        view.owned_count = sh.owned_count;
+        view.global_node_count = graph_.node_count();
+        view.global_max_degree = graph_.max_degree();
+        const Codebook reference(sh.local, params, std::move(view));
+        EXPECT_EQ(transport.codebook(s).fingerprint(), reference.fingerprint());
+    }
     EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenTwoHopPlain);
     EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenTwoHopFaults);
 }

@@ -225,21 +225,20 @@ TEST_F(TransportEquivalence, SharedCodebookCacheMatchesGoldenFingerprints) {
 }
 
 TEST_F(TransportEquivalence, PrivateCodebookMatchesGoldenFingerprints) {
-    // Opting out of the shared cache must not change a single bit either:
-    // the two build modes are golden-pinned against the same seed values.
-    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
-    params.shared_codebook = false;
-    const BeepTransport transport(graph_, params);
+    // A transport whose codebook is a fresh build (empty cache, so this
+    // transport's acquire builds it) decodes to the same goldens as one
+    // served a cache hit.
+    CodebookCache::instance().clear();
+    const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop));
     EXPECT_EQ(run_fingerprint(transport, messages_, FaultModel{}), kGoldenTwoHopPlain);
     EXPECT_EQ(run_fingerprint(transport, messages_, faults_), kGoldenTwoHopFaults);
 }
 
 TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
-    // The once-per-transport counters need a private codebook: a shared one
-    // aggregates every transport that ever hit the same cache entry.
-    SimulationParams private_params = noisy_params(DictionaryPolicy::two_hop);
-    private_params.shared_codebook = false;
-    const BeepTransport transport(graph_, private_params);
+    // A shared codebook's counters aggregate every transport on its cache
+    // entry; an empty cache makes this transport the entry's only user.
+    CodebookCache::instance().clear();
+    const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop));
     const std::size_t n = graph_.node_count();
     const std::size_t decoys = transport.params().decoy_count;
 
@@ -483,6 +482,31 @@ TEST(TdmaEquivalence, BatchedRoundsMatchSingleRounds) {
     faults.jammers = {1};
     const RoundSpec faulty{&messages, 0, &faults};
     EXPECT_THROW(transport.simulate_rounds({&faulty, 1}), precondition_error);
+}
+
+TEST(TdmaTransportBatch, RepacksSchedulesWhenMessagesChange) {
+    // One batch whose messages go m1, m1, m2, m1: each round must match a
+    // single round on a fresh transport, so a batch that reused m1's packed
+    // schedules for m2 (or m2's for the last m1) would deliver the wrong
+    // messages.
+    Rng rng(13);
+    const Graph g = make_erdos_renyi(20, 0.25, rng);
+    const auto m1 = make_messages(g, 8, 21);
+    const auto m2 = make_messages(g, 8, 22);
+    ASSERT_NE(m1, m2);
+    TdmaParams params;
+    params.epsilon = 0.1;
+    params.message_bits = 8;
+    params.repetitions = 7;
+    const std::vector<RoundSpec> specs{
+        {&m1, 0, nullptr}, {&m1, 1, nullptr}, {&m2, 2, nullptr}, {&m1, 3, nullptr}};
+    const auto batched = TdmaTransport(g, params).simulate_rounds(specs);
+    ASSERT_EQ(batched.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "spec=" << i);
+        const TdmaTransport fresh(g, params);
+        expect_equal_rounds(batched[i], fresh.simulate_round(*specs[i].messages, specs[i].nonce));
+    }
 }
 
 }  // namespace
