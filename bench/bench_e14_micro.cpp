@@ -173,10 +173,10 @@ void BM_TransportRound(benchmark::State& state) {
 BENCHMARK(BM_TransportRound)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
-void BM_TransportRoundCacheHit(benchmark::State& state) {
-    // Re-simulating one (messages, nonce) round isolates the decode path:
-    // the codebook serves codes, codewords, 1-positions, and dictionary
-    // encodings from cache (simulate_round still re-runs both phases).
+void BM_TransportRoundSameKey(benchmark::State& state) {
+    // Re-simulating one (messages, nonce) round through one reused batch
+    // isolates the decode path: the batch keeps the round it built, so no
+    // codeword or encoding is rebuilt (both phases still run).
     const auto n = static_cast<std::size_t>(state.range(0));
     Rng rng(6);
     const Graph g = make_random_regular(n, 8, rng);
@@ -190,11 +190,14 @@ void BM_TransportRoundCacheHit(benchmark::State& state) {
     for (NodeId v = 0; v < g.node_count(); ++v) {
         messages[v] = Bitstring::random(message_rng, 12);
     }
+    const RoundSpec spec{&messages, 1, nullptr};
+    TransportBatch batch;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(transport.simulate_round(messages, 1));
+        transport.simulate_rounds_into({&spec, 1}, batch);
+        benchmark::DoNotOptimize(batch.stats(0));
     }
 }
-BENCHMARK(BM_TransportRoundCacheHit)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TransportRoundSameKey)->Arg(256)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Kernel-level microbenches, registered once per kernel the CPU supports

@@ -14,16 +14,23 @@
 // measured 27.6 rounds/s at n=256 and 2.28 at n=1024 on this workload;
 // PR 2's batched path reached 92 and 10.9.
 //
+// Each rate is the median of kRepetitions timed repetitions, single and
+// batched interleaved within one process, so a host stall or a
+// minutes-long swing in the shared machine's speed moves both paths alike
+// instead of deciding the batched-vs-single comparison.
+//
 // The steady-state allocation column counts operator-new calls (see
-// alloc_hooks.h) during a warm simulate_rounds_into batch over a cached
-// codebook round — the zero-copy arena contract says it is exactly 0 at
-// every worker count. The transports run on the default pool (one worker
-// per hardware thread); the JSON records both counts, since a baseline
-// recorded at one core count exercises a different schedule than another.
+// alloc_hooks.h) during a warm simulate_rounds_into batch that repeats one
+// (messages, nonce), so the batch keeps its round — the zero-copy arena
+// contract says it is exactly 0 at every worker count. The transports run
+// on the default pool (one worker per hardware thread); the JSON records
+// both counts, since a baseline recorded at one core count exercises a
+// different schedule than another.
 //
 // The VERDICT is computed from the measured rows: each of its three claims
 // (batched beats single, vector kernels beat scalar, zero steady-state
 // allocations) is printed as holding or failing, with the rows that break it.
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <optional>
@@ -47,6 +54,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+constexpr std::size_t kRepetitions = 5;
+
+double median(std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+}
+
 struct Measurement {
     std::size_t n = 0;
     std::size_t delta = 0;
@@ -58,6 +72,7 @@ struct Measurement {
     std::size_t arena_words = 0;      ///< result-ring high-water mark
 };
 
+/// `rounds` simulated rounds per path in each of kRepetitions repetitions.
 Measurement measure(std::size_t n, std::size_t degree, std::size_t rounds,
                     simd::Kernel kernel) {
     const Graph g = bench::regular_graph(n, degree, 0xe16 + n);
@@ -83,24 +98,30 @@ Measurement measure(std::size_t n, std::size_t degree, std::size_t rounds,
 
     transport.simulate_round(messages, 0);  // warm caches and workspaces
 
-    auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t nonce = 1; nonce <= rounds; ++nonce) {
-        transport.simulate_round(messages, nonce);
-    }
-    m.single_rounds_per_s = static_cast<double>(rounds) / seconds_since(start);
-
-    std::vector<RoundSpec> specs;
-    specs.reserve(rounds);
-    for (std::uint64_t nonce = 1; nonce <= rounds; ++nonce) {
-        specs.push_back(RoundSpec{&messages, nonce, nullptr});
-    }
+    // Both paths simulate the same fresh-nonce rounds in each repetition.
     TransportBatch batch;
-    start = std::chrono::steady_clock::now();
-    transport.simulate_rounds_into(specs, batch);
-    m.batched_rounds_per_s = static_cast<double>(batch.rounds()) / seconds_since(start);
+    std::vector<RoundSpec> specs(rounds, RoundSpec{&messages, 0, nullptr});
+    std::vector<double> single_rates;
+    std::vector<double> batched_rates;
+    for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+        for (std::size_t i = 0; i < rounds; ++i) {
+            specs[i].nonce = 1 + rep * rounds + i;
+        }
+        auto start = std::chrono::steady_clock::now();
+        for (const auto& spec : specs) {
+            transport.simulate_round(messages, spec.nonce);
+        }
+        single_rates.push_back(static_cast<double>(rounds) / seconds_since(start));
 
-    // Steady-state allocation count: a warm batch over one cached codebook
-    // round (same messages + nonce throughout) is pure decoding — the arena
+        start = std::chrono::steady_clock::now();
+        transport.simulate_rounds_into(specs, batch);
+        batched_rates.push_back(static_cast<double>(batch.rounds()) / seconds_since(start));
+    }
+    m.single_rounds_per_s = median(single_rates);
+    m.batched_rounds_per_s = median(batched_rates);
+
+    // Steady-state allocation count: a warm batch that repeats one
+    // (messages, nonce) keeps its round, so it is pure decoding — the arena
     // contract says zero operator-new calls.
     const std::vector<RoundSpec> steady(4, RoundSpec{&messages, 1, nullptr});
     transport.simulate_rounds_into(steady, batch);  // reach high-water
@@ -176,10 +197,10 @@ int main() {
 
     std::vector<Measurement> measurements;
     for (const auto kernel : kernels) {
-        // n=256 rounds take a few ms each: 160 of them time >= 0.5 s per
-        // path, so one host stall cannot swing a row past the perf gate.
-        measurements.push_back(measure(256, 8, 160, kernel));
-        measurements.push_back(measure(1024, 8, 12, kernel));
+        // n=256 rounds take a few ms each: 48 of them time >= 0.2 s per
+        // path and repetition.
+        measurements.push_back(measure(256, 8, 48, kernel));
+        measurements.push_back(measure(1024, 8, 4, kernel));
     }
 
     Table table({"n", "Delta", "kernel", "single (rounds/s)", "batched (rounds/s)",
@@ -191,7 +212,8 @@ int main() {
                        Table::num(m.batched_rounds_per_s / m.single_rounds_per_s, 2),
                        Table::num(m.steady_allocs)});
     }
-    table.print(std::cout, "simulate_round loop vs simulate_rounds_into batch");
+    table.print(std::cout, "simulate_round loop vs simulate_rounds_into batch (median of " +
+                               std::to_string(kRepetitions) + " interleaved repetitions)");
     // The transports run on the default pool: one worker per hardware thread.
     const std::size_t threads = ThreadPool::resolve_worker_count(SimulationParams{}.threads);
     const std::size_t cores = std::thread::hardware_concurrency();

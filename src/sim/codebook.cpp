@@ -94,16 +94,15 @@ std::uint64_t Codebook::ShardView::digest() const {
 }
 
 Codebook::Codebook(const Graph& graph, const SimulationParams& params)
-    : Codebook(graph, params, std::nullopt) {}
+    : Codebook(graph, params, nullptr) {}
 
 Codebook::Codebook(const Graph& graph, const SimulationParams& params, ShardView view)
-    : Codebook(graph, params, std::optional<ShardView>(std::move(view))) {}
+    : Codebook(graph, params, &view) {}
 
-Codebook::Codebook(const Graph& graph, const SimulationParams& params,
-                   std::optional<ShardView> view)
+Codebook::Codebook(const Graph& graph, const SimulationParams& params, ShardView* view)
     : graph_(graph),
       params_(params),
-      view_(std::move(view)),
+      view_(view != nullptr ? std::optional<ShardView>(std::move(*view)) : std::nullopt),
       combined_(make_combined(params,
                               view_.has_value()
                                   ? static_cast<std::size_t>(view_->global_max_degree)
@@ -148,32 +147,9 @@ void Codebook::build_candidate_index() {
 }
 
 std::size_t Codebook::memory_bytes() const {
-    const std::size_t n = graph_.node_count();
-    const std::size_t decoys = params_.decoy_count;
-    const std::size_t entry_count = n + 1 + decoys;
-    const std::size_t beep_bytes = (combined_.length() + 7) / 8;
-    const std::size_t dist_len = params_.distance_code_length();
-    const std::size_t dist_bytes = (dist_len + 7) / 8;
-    const std::size_t payload_bytes = (params_.payload_bits() + 7) / 8;
-
-    std::size_t bytes = sizeof(Codebook);
-    // The candidate index (the only large per-transport state).
-    bytes += entries_.size() * sizeof(std::uint32_t) +
-             offsets_.size() * sizeof(std::uint64_t);
-    // One cached Round of derived material. Codewords of C carry exactly
-    // dist_len ones (the combined-code weight contract), which sizes the
-    // one_positions lists.
-    bytes += (n + decoys) * (beep_bytes + dist_len * sizeof(std::size_t));  // codewords + ones
-    bytes += entry_count * (2 * payload_bytes + dist_bytes);  // messages, tails, encodings
-    bytes += n * beep_bytes;                                  // combined_schedules
-    if (params_.dictionary == DictionaryPolicy::all_nodes) {
-        // Bitslice matrix (beep_length planes over n+decoys columns), the
-        // word-major SoA mirror of candidate_encoded, and the decode gaps.
-        bytes += combined_.length() * ((n + decoys + 63) / 64) * sizeof(std::uint64_t);
-        bytes += entry_count * dist_bytes;
-        bytes += entry_count * sizeof(std::uint32_t);
-    }
-    return bytes;
+    // The candidate index is the only large state a codebook keeps.
+    return sizeof(Codebook) + entries_.size() * sizeof(std::uint32_t) +
+           offsets_.size() * sizeof(std::uint64_t);
 }
 
 std::span<const std::uint32_t> Codebook::candidate_entries(NodeId v) const {
@@ -188,42 +164,25 @@ std::size_t Codebook::node_candidate_count(NodeId v) const {
 std::shared_ptr<const Codebook::Round> Codebook::round(
     const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
     ThreadPool* pool) const {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (cached_ != nullptr && cached_->nonce == nonce && cached_->messages == messages) {
-            return cached_;
-        }
-    }
-    // Build outside the lock: rebuilds are the expensive path and concurrent
-    // callers with distinct keys must not serialize on each other.
-    std::shared_ptr<const Round> fresh = build_round(messages, nonce, pool);
-    const std::size_t owned_nodes = view_.has_value() ? view_->owned_count : graph_.node_count();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        cached_ = fresh;
-        ++stats_.round_builds;
-        stats_.codeword_builds += owned_nodes + params_.decoy_count;
-        stats_.payload_encodes += fresh->candidate_encoded.size();
-    }
+    auto fresh = std::make_shared<Round>();
+    build_round(*fresh, messages, nonce, pool);
     return fresh;
 }
 
-std::shared_ptr<Codebook::Round> Codebook::build_round(
-    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t nonce,
-    ThreadPool* pool) const {
+void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstring>>& messages,
+                           std::uint64_t nonce, ThreadPool* pool) const {
     const std::size_t n = graph_.node_count();
     require(messages.size() == n, "Codebook: one message slot per node");
 
-    auto round = std::make_shared<Round>();
-    round->nonce = nonce;
-    round->rng = Rng(params_.transport_seed).derive(0x726f756eu, nonce);
+    round.nonce = nonce;
+    round.rng = Rng(params_.transport_seed).derive(0x726f756eu, nonce);
 
     const std::size_t payload_bits = params_.payload_bits();
     const BeepCode& beep = beep_code();
     const DistanceCode& distance = distance_code();
 
     // Sharded builds derive per-node state for the owned local range only
-    // (halo slots stay empty; the transport imports them from the boundary
+    // (halo slots are emptied; the transport imports them from the boundary
     // table), and always by *global* id — the derivation an unsharded build
     // would use for the same node.
     const std::size_t owned_lo = view_.has_value() ? view_->owned_begin : 0;
@@ -242,51 +201,61 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     const std::size_t entry_count = n + 1 + decoys;
 
     // Per-node payloads and fresh inputs r_v.
-    round->inputs.resize(n);
-    round->payloads.resize(n);
+    round.inputs.assign(n, 0);
+    round.payloads.resize(n);
     for_each_index(pool, n, [&](std::size_t v) {
-        round->payloads[v] = make_payload(messages[v], params_.message_bits);
+        round.payloads[v] = make_payload(messages[v], params_.message_bits);
         if (v >= owned_lo && v < owned_hi) {
-            round->inputs[v] =
-                round->rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v))).next_u64();
+            round.inputs[v] =
+                round.rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v))).next_u64();
         }
     });
 
     // Decoys: inputs, payloads and codewords drawn independently of
     // everything heard — a function of the nonce alone.
-    round->decoy_inputs.resize(decoys);
-    round->decoy_codewords.resize(decoys);
-    round->decoy_one_positions.resize(decoys);
-    round->candidate_messages.resize(entry_count);
+    round.decoy_inputs.resize(decoys);
+    round.decoy_codewords.resize(decoys);
+    round.decoy_one_positions.resize(decoys);
+    round.candidate_messages.resize(entry_count);
     for (std::size_t i = 0; i < decoys; ++i) {
-        Rng decoy_rng = round->rng.derive(0x6465636fu, i);
-        round->decoy_inputs[i] = decoy_rng.next_u64();
-        round->candidate_messages[n + 1 + i] = Bitstring::random(decoy_rng, payload_bits);
-        auto [codeword, positions] = beep.codeword_and_positions(round->decoy_inputs[i]);
-        round->decoy_codewords[i] = std::move(codeword);
-        round->decoy_one_positions[i] = std::move(positions);
+        Rng decoy_rng = round.rng.derive(0x6465636fu, i);
+        round.decoy_inputs[i] = decoy_rng.next_u64();
+        round.candidate_messages[n + 1 + i] = Bitstring::random(decoy_rng, payload_bits);
+        auto [codeword, positions] = beep.codeword_and_positions(round.decoy_inputs[i]);
+        round.decoy_codewords[i] = std::move(codeword);
+        round.decoy_one_positions[i] = std::move(positions);
     }
 
     // Codewords C(r_v) with their 1-positions, for the owned nodes.
-    round->codewords.resize(n);
-    round->one_positions.resize(n);
+    // Halo slots are emptied, keeping their storage for the transport's
+    // imports.
+    round.codewords.resize(n);
+    round.one_positions.resize(n);
+    round.combined_schedules.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        if (v < owned_lo || v >= owned_hi) {
+            round.codewords[v].reset(0);
+            round.one_positions[v].clear();
+            round.combined_schedules[v].reset(0);
+        }
+    }
     for_each_index(pool, owned_hi - owned_lo, [&](std::size_t i) {
         const std::size_t v = owned_lo + i;
-        auto [codeword, positions] = beep.codeword_and_positions(round->inputs[v]);
-        round->codewords[v] = std::move(codeword);
-        round->one_positions[v] = std::move(positions);
+        auto [codeword, positions] = beep.codeword_and_positions(round.inputs[v]);
+        round.codewords[v] = std::move(codeword);
+        round.one_positions[v] = std::move(positions);
     });
 
     // Phase-2 candidate dictionary over the entry space, encoded once.
     for_each_index(pool, n, [&](std::size_t v) {
-        round->candidate_messages[v] = round->payloads[v];
+        round.candidate_messages[v] = round.payloads[v];
     });
-    round->candidate_messages[n] = Bitstring(payload_bits);  // the null payload
-    round->candidate_encoded.resize(entry_count);
-    round->candidate_tails.resize(entry_count);
+    round.candidate_messages[n] = Bitstring(payload_bits);  // the null payload
+    round.candidate_encoded.resize(entry_count);
+    round.candidate_tails.resize(entry_count);
     for_each_index(pool, entry_count, [&](std::size_t e) {
-        round->candidate_encoded[e] = distance.encode(round->candidate_messages[e]);
-        round->candidate_tails[e] = round->candidate_messages[e].tail(1);
+        round.candidate_encoded[e] = distance.encode(round.candidate_messages[e]);
+        round.candidate_tails[e] = round.candidate_messages[e].tail(1);
     });
 
     // Bitsliced phase-1 matrix and phase-2 decode radii: only the all_nodes
@@ -297,17 +266,20 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // waste. The O(n^2) node-payload gap block is messages-keyed in
     // node_gaps_, so a fixed-messages nonce sweep recomputes only the
     // decoy rows each round.
+    const bool sliced = params_.dictionary == DictionaryPolicy::all_nodes &&
+                        n + params_.decoy_count >= params_.bitslice_min_candidates;
+    round.codeword_slices =
+        sliced ? BitsliceMatrix(round.codewords, round.decoy_codewords) : BitsliceMatrix();
+    // The phase-2 dictionary transposed word-major for the vectorized
+    // full-sweep scan, gated with the bitslice matrix: both pay off exactly
+    // when every node scans the whole entry space
+    // (DistanceCode::nearest_entry_soa).
+    round.candidate_encoded_soa.build(sliced ? std::span<const Bitstring>(round.candidate_encoded)
+                                             : std::span<const Bitstring>());
+    round.decode_gaps.clear();
     if (params_.dictionary == DictionaryPolicy::all_nodes) {
-        if (n + params_.decoy_count >= params_.bitslice_min_candidates) {
-            round->codeword_slices = BitsliceMatrix(round->codewords, round->decoy_codewords);
-            // The phase-2 dictionary transposed word-major for the vectorized
-            // full-sweep scan, gated with the bitslice matrix: both pay off
-            // exactly when every node scans the whole entry space
-            // (DistanceCode::nearest_entry_soa).
-            round->candidate_encoded_soa.build(round->candidate_encoded);
-        }
-        const std::span<const Bitstring> all_messages(round->candidate_messages);
-        const std::span<const Bitstring> all_encoded(round->candidate_encoded);
+        const std::span<const Bitstring> all_messages(round.candidate_messages);
+        const std::span<const Bitstring> all_encoded(round.candidate_encoded);
         std::shared_ptr<const NodeGapCache> node_gaps;
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -343,7 +315,7 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
                 }
             }
         }
-        round->decode_gaps =
+        round.decode_gaps =
             distance.extend_decode_gaps(all_messages, all_encoded, node_gaps->gaps);
     }
 
@@ -351,19 +323,23 @@ std::shared_ptr<Codebook::Round> Codebook::build_round(
     // already in the dictionary, so only the scatter remains. Sharded energy
     // totals count the owned nodes only — the transport sums them across
     // shards, each node counted by exactly its owner.
-    round->combined_schedules.resize(n);
     for_each_index(pool, owned_hi - owned_lo, [&](std::size_t i) {
         const std::size_t v = owned_lo + i;
-        round->combined_schedules[v] = Bitstring::scatter(
-            beep.length(), round->one_positions[v], round->candidate_encoded[v]);
+        round.combined_schedules[v] = Bitstring::scatter(
+            beep.length(), round.one_positions[v], round.candidate_encoded[v]);
     });
+    round.phase2_beeps = 0;
     for (std::size_t v = owned_lo; v < owned_hi; ++v) {
-        round->phase2_beeps += round->combined_schedules[v].count();
+        round.phase2_beeps += round.combined_schedules[v].count();
     }
-    round->phase1_beeps = (owned_hi - owned_lo) * beep.weight();
+    round.phase1_beeps = (owned_hi - owned_lo) * beep.weight();
 
-    round->messages = messages;
-    return round;
+    round.messages = messages;
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.round_builds;
+    stats_.codeword_builds += (owned_hi - owned_lo) + decoys;
+    stats_.payload_encodes += entry_count;
 }
 
 std::size_t Codebook::node_gap_capacity() {

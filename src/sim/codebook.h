@@ -1,35 +1,31 @@
-// Once-per-transport cache of Algorithm 1's codes, candidate dictionaries,
-// and per-round derived state (see DESIGN.md section 2).
+// Algorithm 1's round-independent code state, and the one builder of its
+// per-round state (see DESIGN.md section 2).
 //
 // The paper's codes C, D and CD are public and fixed: a transport's decoders
 // use the same three code objects for every simulated round, and every
-// decoding node scans the same candidate dictionary. Before this layer
-// existed, simulate_round rebuilt all of it — codes, all n codewords, their
-// 1-position lists, and every candidate's distance-code encoding — from
-// scratch on every call (and the encodings once per decoding node per
-// accepted sender). The Codebook splits that state by lifetime:
+// decoding node scans the same candidate dictionary. The Codebook holds
+// exactly that round-independent state, built once in the constructor: the
+// BeepCode/DistanceCode/CombinedCode triple and the candidate entry index
+// for the configured DictionaryPolicy. Because none of it changes, one
+// Codebook is shared by every transport on its CodebookCache entry.
 //
-//   * per transport (built exactly once, in the constructor): the
-//     BeepCode/DistanceCode/CombinedCode triple and the candidate entry
-//     index for the configured DictionaryPolicy;
-//   * per round (rebuilt only when the (messages, nonce) key changes): the
-//     fresh inputs r_v, payloads, codewords C(r_v) with cached 1-positions,
-//     fault-free phase schedules, decoy material, and the phase-2 candidate
-//     dictionary with all distance-code encodings precomputed.
+// A Round is everything one simulated round derives from (messages, nonce):
+// the fresh inputs r_v, payloads, codewords C(r_v) with cached 1-positions,
+// fault-free phase schedules, decoy material, and the phase-2 candidate
+// dictionary with all distance-code encodings precomputed. The Codebook
+// keeps no Round. Its caller owns one and build_round() rewrites it in
+// place; BeepTransport keeps one per shard in the TransportBatch that
+// decodes it (decode_core.h). round() is the allocate-and-build convenience.
 //
 // There is one way to build either layer: compute it. The candidate index is
 // computed from the graph (or, through a ShardView, from one shard's closure
 // graph), and every round is derived from scratch from (messages, nonce):
-// the codes are public and fixed and every per-round quantity is a pure
-// function of the seeds and that key, so a round is never patched from an
-// earlier one. The only state carried across rounds is the messages-keyed
-// memo of the node-payload phase-2 decode gaps (all_nodes only).
-//
-// Rounds are handed out as shared_ptr<const Round>: simulate_round keeps its
-// round alive for the duration of the call, so concurrent callers with
-// different (messages, nonce) keys never invalidate each other (they only
-// thrash the single-entry cache). Construction counters are exposed via
-// stats() so tests can assert the once-per-transport contract.
+// every per-round quantity is a pure function of the seeds and that key, so
+// a round is never patched from an earlier one and a rebuilt Round equals a
+// fresh one field by field. The only state carried across rounds is the
+// messages-keyed memo of the node-payload phase-2 decode gaps (all_nodes
+// only). Construction counters are exposed via stats() so tests can assert
+// how often each layer is built.
 #pragma once
 
 #include <cstdint>
@@ -139,18 +135,24 @@ public:
         Rng rng;  ///< the round rng all per-round streams derive from
 
         std::uint64_t nonce = 0;
-        std::vector<std::optional<Bitstring>> messages;  ///< the cache key
+        std::vector<std::optional<Bitstring>> messages;  ///< what it was built from
     };
 
-    /// The cached round for (messages, nonce), rebuilt only when the key
-    /// differs from the previously returned one. Thread-safe. The key needs
-    /// no channel component: a Round is channel-independent by construction
-    /// (codewords, schedules, and dictionaries are what nodes *transmit*;
-    /// the ChannelModel perturbs transcripts at hear time, from streams
-    /// derived off round.rng by the engines), and the channel itself is
-    /// fixed per transport. A rebuild runs its per-node loops on `pool`
-    /// when given one (serially otherwise); every node's material comes
-    /// from its own node-keyed stream, so the Round is identical either way.
+    /// Rebuild `round` in place as the Round for (messages, nonce): every
+    /// field is overwritten (accumulators reset, halo slots of a shard view
+    /// emptied), reusing the vectors `round` already holds, so the result
+    /// equals a fresh build whatever `round` held before. Thread-safe for
+    /// distinct `round` objects. A Round is channel-independent by
+    /// construction (codewords, schedules, and dictionaries are what nodes
+    /// *transmit*; the ChannelModel perturbs transcripts at hear time, from
+    /// streams derived off round.rng by the engines). The per-node loops run
+    /// on `pool` when given one (serially otherwise); every node's material
+    /// comes from its own node-keyed stream, so the Round is identical
+    /// either way.
+    void build_round(Round& round, const std::vector<std::optional<Bitstring>>& messages,
+                     std::uint64_t nonce, ThreadPool* pool = nullptr) const;
+
+    /// A fresh Round for (messages, nonce): build_round into a new object.
     std::shared_ptr<const Round> round(const std::vector<std::optional<Bitstring>>& messages,
                                        std::uint64_t nonce, ThreadPool* pool = nullptr) const;
 
@@ -169,9 +171,9 @@ public:
     const Graph& graph() const noexcept { return graph_; }
 
     /// Deterministic estimate of this codebook's resident footprint: the
-    /// candidate entry index plus one cached Round of derived material,
-    /// computed from the code dimensions (codes themselves are procedural —
-    /// seeds and dimensions). An estimate rather than a measurement so the
+    /// candidate entry index, computed from its dimensions (codes themselves
+    /// are procedural — seeds and dimensions — and Rounds belong to their
+    /// callers). An estimate rather than a measurement so the
     /// CodebookCache's byte-accounted eviction is a pure function of the
     /// build parameters, independent of allocator and thread interleaving
     /// (see DESIGN.md section 9).
@@ -189,18 +191,15 @@ public:
     /// Construction counters for the once-per-transport contract.
     struct Stats {
         std::size_t code_builds = 0;      ///< code-triple constructions
-        std::size_t round_builds = 0;     ///< distinct (messages, nonce) rebuilds
+        std::size_t round_builds = 0;     ///< build_round calls
         std::size_t codeword_builds = 0;  ///< beep codewords generated in total
         std::size_t payload_encodes = 0;  ///< distance-code encodings generated
     };
     Stats stats() const;
 
 private:
-    Codebook(const Graph& graph, const SimulationParams& params,
-             std::optional<ShardView> view);
-
-    std::shared_ptr<Round> build_round(const std::vector<std::optional<Bitstring>>& messages,
-                                       std::uint64_t nonce, ThreadPool* pool) const;
+    /// `view` (moved from) is null for the whole-graph build.
+    Codebook(const Graph& graph, const SimulationParams& params, ShardView* view);
 
     void build_candidate_index();
     std::span<const std::uint32_t> candidate_row(std::size_t r) const noexcept {
@@ -239,7 +238,6 @@ private:
     std::size_t max_node_candidates_ = 0;
 
     mutable std::mutex mutex_;
-    mutable std::shared_ptr<const Round> cached_;
     mutable std::list<std::shared_ptr<const NodeGapCache>> node_gaps_;  ///< MRU first
     mutable Stats stats_;
 };

@@ -88,7 +88,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     } else {
         for (std::size_t i = 0; i < node_candidates; ++i) {
             const NodeId u = entries[i];
-            if (u != v && c.phase1_decoder->accepts_codeword(ws.heard1, (*c.codewords)[u],
+            if (u != v && c.phase1_decoder->accepts_codeword(ws.heard1, rd.codewords[u],
                                                              c.kernel)) {
                 ws.accepted_nodes.push_back(u);
             }
@@ -120,7 +120,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     diag.phase1_false_negatives += correct_neighbors - true_accepted;
 
     // Phase 2 decode for every accepted foreign input, against the
-    // round's cached dictionary encodings. The accepted sender is the
+    // round's precomputed dictionary encodings. The accepted sender is the
     // nearest-entry hint: when its encoding is within the unique-
     // decoding radius, the dictionary scan is skipped (exact; see
     // DistanceCode::nearest_entry).
@@ -171,8 +171,7 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
     };
 
     for (const auto u : ws.accepted_nodes) {
-        const std::uint32_t entry =
-            decode_entry_at((*c.codewords)[u], (*c.one_positions)[u], u);
+        const std::uint32_t entry = decode_entry_at(rd.codewords[u], rd.one_positions[u], u);
         const Bitstring& decoded = rd.candidate_messages[entry];
         if (c.graph->has_edge(u, v) && (*c.states)[u] == NodeState::correct &&
             decoded != rd.payloads[u]) {

@@ -9,7 +9,8 @@
 // Internal header: included by transport.cpp and decode_core.cpp only. It
 // also defines TransportBatch::Scratch (forward-declared in
 // transport_batch.h), the cross-call scratch the transport keeps in the
-// caller's batch.
+// caller's batch — each shard's Round among it, so the batch that decodes a
+// round owns its one decoding dictionary.
 #pragma once
 
 #include <cstddef>
@@ -68,18 +69,14 @@ struct DecodeWorkspace {
 /// pointer keeps the std::function conversion at the parallel_for call site
 /// inside its small-buffer storage — no per-round allocation.
 ///
-/// `codewords` / `one_positions` are the *fault-free decoding dictionary*
-/// for phase 1 and the phase-2 gathers. For a shard without a halo they
-/// alias the round's own vectors; otherwise they point at the shard's
-/// assembled copies (owned slots from the local round, halo slots imported
-/// from the boundary table). `local_to_global` (nullptr = identity) maps
-/// node ids for the batch's slot table, which is always indexed globally.
+/// `round` is the *fault-free decoding dictionary* for phase 1 and the
+/// phase-2 gathers: the shard's Round, its halo slots already imported from
+/// the boundary table. `local_to_global` (nullptr = identity) maps node ids
+/// for the batch's slot table, which is always indexed globally.
 struct DecodeContext {
     const Graph* graph = nullptr;
     const Codebook* codebook = nullptr;
     const Codebook::Round* round = nullptr;
-    const std::vector<Bitstring>* codewords = nullptr;
-    const std::vector<std::vector<std::size_t>>* one_positions = nullptr;
     const std::vector<std::optional<Bitstring>>* messages = nullptr;
     const std::vector<Bitstring>* phase1_schedules = nullptr;
     const std::vector<Bitstring>* phase2_schedules = nullptr;
@@ -116,14 +113,18 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v);
 
 /// One shard's per-round scratch, reused across rounds and batches. The
 /// message and state slices exist only for closures that are not the
-/// identity, and the assembled dictionary only for shards with imports; the
-/// fault-override schedules stay empty on fault-free workloads.
+/// identity; the fault-override schedules stay empty on fault-free
+/// workloads.
 struct ShardScratch {
     std::vector<std::optional<Bitstring>> messages;  ///< local slice, closure order
-    std::shared_ptr<const Codebook::Round> round;
-    std::vector<Bitstring> codewords;  ///< owned slots from the round, halo from the table
-    std::vector<std::vector<std::size_t>> one_positions;
-    std::vector<Bitstring> phase2;
+    /// The shard's decoding dictionary. The build stage rebuilds it in place
+    /// only when the codebook, nonce or messages differ from what built it;
+    /// the decode stage writes its halo slots from the boundary table.
+    Codebook::Round round;
+    /// The codebook that built `round` (null: none, or a build threw). Held,
+    /// not just compared by address, so a freed codebook's address cannot
+    /// alias a new one.
+    std::shared_ptr<const SharedCodebook> round_codebook;
     std::vector<Bitstring> faulty_phase1;
     std::vector<Bitstring> faulty_phase2;
     std::vector<NodeState> states;  ///< local slice, closure order

@@ -121,14 +121,14 @@ struct BeepTransport::RoundJob {
     const FaultModel* faults = nullptr;
     std::size_t round_index = 0;
 
-    /// Stage A: slice the messages to the closure, build (or fetch) the
-    /// shard's round, and publish its export rows. Each row has exactly one
-    /// writer: the owning shard.
+    /// Stage A: slice the messages to the closure, rebuild the shard's
+    /// round unless it already holds this one, and publish its export rows.
+    /// Each row has exactly one writer: the owning shard.
     void build(std::size_t s) const;
 
-    /// Stage B: assemble the decoding dictionary from the round and the
-    /// imported rows, apply fault overrides, and decode the owned nodes
-    /// with the shared per-node pipeline (decode_core.h).
+    /// Stage B: write the imported rows into the round's halo slots, apply
+    /// fault overrides, and decode the owned nodes with the shared per-node
+    /// pipeline (decode_core.h).
     void decode(std::size_t s) const;
 };
 
@@ -143,13 +143,19 @@ void BeepTransport::RoundJob::build(std::size_t s) const {
         }
         messages = &sr.messages;
     }
-    sr.round = transport.codebook(s).round(*messages, spec->nonce, transport.pool_.get());
+    if (sr.round_codebook != shard.codebook || sr.round.nonce != spec->nonce ||
+        sr.round.messages != *messages) {
+        sr.round_codebook.reset();  // a build that throws leaves no valid round
+        shard.codebook->codebook().build_round(sr.round, *messages, spec->nonce,
+                                               transport.pool_.get());
+        sr.round_codebook = shard.codebook;
+    }
 
     const std::size_t wb = transport.words_per_schedule_;
     std::uint64_t* row = batch.scratch_->table.data() + shard.row_offset_words;
     for (const auto e : shard.exports) {
-        std::copy_n(sr.round->codewords[e].words().data(), wb, row);
-        std::copy_n(sr.round->combined_schedules[e].words().data(), wb, row + wb);
+        std::copy_n(sr.round.codewords[e].words().data(), wb, row);
+        std::copy_n(sr.round.combined_schedules[e].words().data(), wb, row + wb);
         row += 2 * wb;
     }
 }
@@ -159,42 +165,24 @@ void BeepTransport::RoundJob::decode(std::size_t s) const {
     TransportBatch::Scratch& scratch = *batch.scratch_;
     ShardScratch& sr = scratch.shards[s];
     const Codebook& codebook = transport.codebook(s);
-    const Codebook::Round& round = *sr.round;
+    Codebook::Round& round = sr.round;
     const std::size_t ln = shard.graph->node_count();
     const std::size_t b = codebook.beep_length();
     const std::uint32_t owned_end = shard.owned_begin + shard.owned_count;
 
-    // The fault-free decoding dictionary: the round's own vectors, unless
-    // the shard has a halo — then owned slots copied from the round and
-    // halo slots imported from the boundary table, all into storage the
-    // previous round left behind.
-    const std::vector<Bitstring>* codewords = &round.codewords;
-    const std::vector<std::vector<std::size_t>>* one_positions = &round.one_positions;
-    const std::vector<Bitstring>* phase2 = &round.combined_schedules;
-    if (!shard.imports.empty()) {
-        sr.codewords.resize(ln);
-        sr.one_positions.resize(ln);
-        sr.phase2.resize(ln);
-        for (std::uint32_t v = shard.owned_begin; v < owned_end; ++v) {
-            sr.codewords[v] = round.codewords[v];
-            sr.one_positions[v] = round.one_positions[v];
-            sr.phase2[v] = round.combined_schedules[v];
-        }
-        const std::size_t wb = transport.words_per_schedule_;
-        for (const ShardPlan::Import& imp : shard.imports) {
-            const std::uint64_t* row = scratch.table.data() +
-                                       transport.shards_[imp.src_shard].row_offset_words +
-                                       static_cast<std::size_t>(imp.src_row) * 2 * wb;
-            load_row(sr.codewords[imp.local], row, b);
-            load_row(sr.phase2[imp.local], row + wb, b);
-            std::vector<std::size_t>& positions = sr.one_positions[imp.local];
-            positions.clear();
-            sr.codewords[imp.local].for_each_one(
-                [&positions](std::size_t p) { positions.push_back(p); });
-        }
-        codewords = &sr.codewords;
-        one_positions = &sr.one_positions;
-        phase2 = &sr.phase2;
+    // Complete the decoding dictionary: the halo slots get the bits their
+    // owners published, written into storage the previous round left behind.
+    const std::size_t wb = transport.words_per_schedule_;
+    for (const ShardPlan::Import& imp : shard.imports) {
+        const std::uint64_t* row = scratch.table.data() +
+                                   transport.shards_[imp.src_shard].row_offset_words +
+                                   static_cast<std::size_t>(imp.src_row) * 2 * wb;
+        load_row(round.codewords[imp.local], row, b);
+        load_row(round.combined_schedules[imp.local], row + wb, b);
+        std::vector<std::size_t>& positions = round.one_positions[imp.local];
+        positions.clear();
+        round.codewords[imp.local].for_each_one(
+            [&positions](std::size_t p) { positions.push_back(p); });
     }
 
     // This round's fault states, sliced to the closure like the messages.
@@ -212,11 +200,11 @@ void BeepTransport::RoundJob::decode(std::size_t s) const {
     // all-zeros, in both phases. Decoders have no fault knowledge, so the
     // decoding dictionary stays fault-free. Element-wise copy-assignment
     // reuses each Bitstring's word storage once warm.
-    const std::vector<Bitstring>* phase1_schedules = codewords;
-    const std::vector<Bitstring>* phase2_schedules = phase2;
+    const std::vector<Bitstring>* phase1_schedules = &round.codewords;
+    const std::vector<Bitstring>* phase2_schedules = &round.combined_schedules;
     if (!faults->empty()) {
-        sr.faulty_phase1 = *codewords;
-        sr.faulty_phase2 = *phase2;
+        sr.faulty_phase1 = round.codewords;
+        sr.faulty_phase2 = round.combined_schedules;
         for (std::size_t v = 0; v < ln; ++v) {
             if ((*states)[v] == NodeState::jammer) {
                 sr.faulty_phase1[v] = ~Bitstring(b);
@@ -252,8 +240,6 @@ void BeepTransport::RoundJob::decode(std::size_t s) const {
     ctx.graph = shard.graph;
     ctx.codebook = &codebook;
     ctx.round = &round;
-    ctx.codewords = codewords;
-    ctx.one_positions = one_positions;
     ctx.messages = shard.ids.empty() ? spec->messages : &sr.messages;
     ctx.phase1_schedules = phase1_schedules;
     ctx.phase2_schedules = phase2_schedules;
@@ -352,7 +338,7 @@ void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
         // batch allocates nothing whichever nodes each worker claims.
         for (std::size_t s = 0; s < k; ++s) {
             for (std::size_t w = 0; w < workers; ++w) {
-                transport_detail::reserve_workspace(codebook(s), *scratch.shards[s].round,
+                transport_detail::reserve_workspace(codebook(s), scratch.shards[s].round,
                                                     batch.message_words(), scratch.workspaces[w]);
             }
         }

@@ -120,10 +120,11 @@ public:
 /// boundary beep activity: every owned node another shard can hear within
 /// two hops publishes its phase-1 codeword and phase-2 combined schedule
 /// into a fixed-layout boundary table (one writer per row, SST-style), and
-/// each shard fills its halo slots from the rows its imports name. Every
-/// derived stream is keyed globally and every halo slot holds exactly the
-/// bits the owner built, so outputs are bit-identical for any shard count
-/// and any worker count.
+/// each shard writes the rows its imports name into the halo slots of its
+/// own round, the one dictionary it decodes from. Every derived stream is
+/// keyed globally and every halo slot holds exactly the bits the owner
+/// built, so outputs are bit-identical for any shard count and any worker
+/// count.
 ///
 /// The default is a one-shard plan: the closure is the whole graph with
 /// identity ids, the codebook is the plain (graph, params) build, there are
@@ -148,9 +149,12 @@ public:
     /// messages land as fixed-stride records in per-worker arenas instead
     /// of per-node Bitstring vectors, and all decode scratch lives in the
     /// batch, so a reused batch at its steady-state high-water mark decodes
-    /// with zero heap allocations at any shard and worker count. Each round
-    /// runs two per-shard stages on this transport's pool: build (and
-    /// publish the boundary rows), then decode. With one shard the stage
+    /// with zero heap allocations at any shard and worker count. The batch
+    /// also owns each shard's Codebook::Round and rebuilds it in place only
+    /// when the codebook, nonce or messages differ from what built it, so a
+    /// round that repeats the previous key reuses it. Each round runs two
+    /// per-shard stages on this transport's pool: build (and publish the
+    /// boundary rows), then decode. With one shard the stage
     /// runs on the caller and its round build and node decodes fan out over
     /// every worker; with k > 1 each shard runs on one worker. One
     /// simulate_rounds_into call writes a batch at a time; simulate_rounds

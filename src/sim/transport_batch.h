@@ -109,7 +109,7 @@ private:
         std::uint64_t offset = 0;  ///< word offset of the run in its arena
     };
 
-    /// Reusable decode scratch (workspaces, fault state, diagnostics) owned
+    /// Reusable decode scratch (workspaces, fault state, each shard's round) owned
     /// by the batch so repeated simulate_rounds_into calls allocate nothing
     /// once warm. Defined in decode_core.h (internal); the shared_ptr
     /// type-erases the deleter so this header stays independent of it.

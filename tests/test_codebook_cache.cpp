@@ -210,5 +210,79 @@ TEST(CodebookCacheProperty, ColoringCacheServesTdmaTransports) {
     EXPECT_EQ(stats.coloring_hits, 1u);
 }
 
+/// Three cache keys over one graph that differ only in the code seed, so
+/// their byte-accounted footprints are equal: the probe's memory_bytes()
+/// sizes every cap below.
+class CodebookCacheBounded : public ::testing::Test {
+protected:
+    CodebookCacheBounded() : graph_(scenarios::find_scenario("ge-burst")->topology.build()) {
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            params_[i].message_bits = 6;
+            params_[i].c_eps = 4;
+            params_[i].code_seed += i;
+        }
+        entry_bytes_ = SharedCodebook(graph_, params_[0]).memory_bytes();
+    }
+
+    Graph graph_;
+    SimulationParams params_[3];
+    std::size_t entry_bytes_ = 0;
+};
+
+TEST_F(CodebookCacheBounded, CountCapacityEvictsLeastRecentlyUsed) {
+    CodebookCache cache(1, 2, 0);  // two entries, no byte cap
+    const auto a = cache.acquire(graph_, params_[0]);
+    cache.acquire(graph_, params_[1]);
+    EXPECT_EQ(cache.acquire(graph_, params_[0]), a);  // hit; b is now the LRU entry
+    cache.acquire(graph_, params_[2]);                // evicts b
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.builds, 3u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.evictions, 1u);
+
+    EXPECT_EQ(cache.acquire(graph_, params_[0]), a);  // a survived
+    cache.acquire(graph_, params_[1]);                // b rebuilds, evicting c
+    stats = cache.stats();
+    EXPECT_EQ(stats.builds, 4u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.evictions, 2u);
+    EXPECT_EQ(stats.evictions_capacity, 0u);
+    EXPECT_EQ(stats.bytes_resident, 2 * entry_bytes_);
+}
+
+TEST_F(CodebookCacheBounded, ByteCapEvictsTheLeastRecentlyUsedEntry) {
+    CodebookCache cache(1, 2, entry_bytes_ + entry_bytes_ / 2);  // one entry fits, two do not
+    cache.acquire(graph_, params_[0]);
+    EXPECT_EQ(cache.stats().bytes_resident, entry_bytes_);
+    const auto b = cache.acquire(graph_, params_[1]);  // over the cap: a goes
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.evictions_capacity, 1u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.bytes_resident, entry_bytes_);
+
+    EXPECT_EQ(cache.acquire(graph_, params_[1]), b);  // b is resident
+    cache.acquire(graph_, params_[0]);                // a rebuilds, b goes
+    stats = cache.stats();
+    EXPECT_EQ(stats.builds, 3u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.evictions_capacity, 2u);
+    EXPECT_EQ(stats.bytes_resident, entry_bytes_);
+    EXPECT_EQ(stats.oversize_uncached, 0u);
+}
+
+TEST_F(CodebookCacheBounded, OversizeEntryIsServedUncached) {
+    CodebookCache cache(1, 2, entry_bytes_ - 1);  // not even one entry fits
+    const auto first = cache.acquire(graph_, params_[0]);
+    const auto second = cache.acquire(graph_, params_[0]);  // builds again
+    EXPECT_NE(first, second);
+    EXPECT_EQ(first->codebook().fingerprint(), second->codebook().fingerprint());
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.builds, 2u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.oversize_uncached, 2u);
+    EXPECT_EQ(stats.bytes_resident, 0u);
+    EXPECT_EQ(stats.evictions + stats.evictions_capacity, 0u);
+}
+
 }  // namespace
 }  // namespace nb

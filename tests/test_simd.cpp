@@ -370,7 +370,7 @@ TEST(TransportBatchRing, ReusedBatchMatchesSimulateRounds) {
 }
 
 /// Allocations of a third simulate_rounds_into call through a batch the
-/// first two calls warmed (the codebook round stays cached: same messages
+/// first two calls warmed (the batch keeps its round: same messages
 /// and nonce).
 std::uint64_t steady_state_allocs(const BeepTransport& transport,
                                   const std::vector<std::optional<Bitstring>>& messages) {
@@ -387,8 +387,8 @@ std::uint64_t steady_state_allocs(const BeepTransport& transport,
 }
 
 TEST(TransportBatchRing, SteadyStateDecodeAllocatesNothing) {
-    // The zero-allocation contract of transport_batch.h: with the codebook
-    // round cached (same messages + nonce), a warmed-up batch decode touches
+    // The zero-allocation contract of transport_batch.h: with the batch's
+    // round kept (same messages + nonce), a warmed-up batch decode touches
     // the allocator exactly zero times — at one worker and at several, where
     // which worker decodes which node changes from batch to batch. all_nodes
     // below the crossover puts the measurement on the bitslice + SoA + arena

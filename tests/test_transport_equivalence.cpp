@@ -235,8 +235,11 @@ TEST_F(TransportEquivalence, PrivateCodebookMatchesGoldenFingerprints) {
 }
 
 TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
-    // A shared codebook's counters aggregate every transport on its cache
-    // entry; an empty cache makes this transport the entry's only user.
+    // The batch that decodes a round owns it: a reused batch rebuilds its
+    // round only when the (codebook, messages, nonce) key changes, and a
+    // fault model is not part of that key. A shared codebook's counters
+    // aggregate every transport on its cache entry; an empty cache makes
+    // this transport the entry's only user.
     CodebookCache::instance().clear();
     const BeepTransport transport(graph_, noisy_params(DictionaryPolicy::two_hop));
     const std::size_t n = graph_.node_count();
@@ -246,16 +249,11 @@ TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
     EXPECT_EQ(stats.code_builds, 1u);   // built in the constructor
     EXPECT_EQ(stats.round_builds, 0u);  // no round simulated yet
 
-    transport.simulate_round(messages_, 0);
-    stats = transport.codebook().stats();
-    EXPECT_EQ(stats.round_builds, 1u);
-    EXPECT_EQ(stats.codeword_builds, n + decoys);
-    EXPECT_EQ(stats.payload_encodes, n + 1 + decoys);
-
-    // Re-simulating the same round (same messages + nonce, faults included)
-    // must not regenerate any code, codeword, or encoding.
-    transport.simulate_round(messages_, 0);
-    transport.simulate_round(messages_, 0, faults_);
+    // (m, 0), (m, 0) and (m, 0, faults) through one batch: one build.
+    TransportBatch batch;
+    const std::vector<RoundSpec> same_round = {
+        {&messages_, 0, nullptr}, {&messages_, 0, nullptr}, {&messages_, 0, &faults_}};
+    transport.simulate_rounds_into(same_round, batch);
     stats = transport.codebook().stats();
     EXPECT_EQ(stats.code_builds, 1u);
     EXPECT_EQ(stats.round_builds, 1u);
@@ -263,11 +261,18 @@ TEST_F(TransportEquivalence, CodesAndCodewordsBuiltOncePerRound) {
     EXPECT_EQ(stats.payload_encodes, n + 1 + decoys);
 
     // A fresh nonce is a new round: exactly one more rebuild.
-    transport.simulate_round(messages_, 1);
+    const RoundSpec next{&messages_, 1, nullptr};
+    transport.simulate_rounds_into({&next, 1}, batch);
     stats = transport.codebook().stats();
     EXPECT_EQ(stats.code_builds, 1u);
     EXPECT_EQ(stats.round_builds, 2u);
     EXPECT_EQ(stats.codeword_builds, 2 * (n + decoys));
+    EXPECT_EQ(stats.payload_encodes, 2 * (n + 1 + decoys));
+
+    // The memoised rounds decode exactly as fresh batches do.
+    transport.simulate_rounds_into(same_round, batch);
+    expect_equal_rounds(batch.to_round(1), transport.simulate_round(messages_, 0));
+    expect_equal_rounds(batch.to_round(2), transport.simulate_round(messages_, 0, faults_));
 }
 
 void expect_equal_slices(const BitsliceMatrix& a, const BitsliceMatrix& b) {
@@ -311,6 +316,146 @@ void expect_equal_round_fields(const Codebook::Round& a, const Codebook::Round& 
     EXPECT_EQ(a.messages, b.messages);
     expect_equal_slices(a.codeword_slices, b.codeword_slices);
     expect_equal_soa(a.candidate_encoded_soa, b.candidate_encoded_soa);
+}
+
+/// Rebuild `reused` in place through `book` and compare it field by field
+/// with a fresh book.round() of the same key. The caller has already built
+/// `reused` from other messages and another nonce.
+void expect_in_place_rebuild_matches_fresh(const Codebook& book, Codebook::Round& reused,
+                                           const std::vector<std::optional<Bitstring>>& messages,
+                                           std::uint64_t nonce) {
+    const std::size_t builds_before = book.stats().round_builds;
+    book.build_round(reused, messages, nonce);
+    EXPECT_EQ(book.stats().round_builds, builds_before + 1);
+    expect_equal_round_fields(reused, *book.round(messages, nonce));
+}
+
+TEST(CodebookInPlaceRound, TwoHopRebuildMatchesFreshFieldByField) {
+    // The reused Round was last built by an all_nodes codebook with the
+    // bitslice matrix, SoA dictionary and decode gaps: a two_hop rebuild
+    // must empty all three.
+    Rng rng(0x61);
+    const Graph graph = make_random_regular(80, 6, rng);
+    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
+    params.decoy_count = 5;
+    SimulationParams sliced_params = params;
+    sliced_params.dictionary = DictionaryPolicy::all_nodes;
+    sliced_params.bitslice_min_candidates = 64;
+    const Codebook sliced(graph, sliced_params);
+    const Codebook book(graph, params);
+
+    Codebook::Round reused;
+    sliced.build_round(reused, make_messages(graph, params.message_bits, 31), 9);
+    ASSERT_FALSE(reused.codeword_slices.empty());
+    ASSERT_FALSE(reused.decode_gaps.empty());
+    expect_in_place_rebuild_matches_fresh(book, reused,
+                                          make_messages(graph, params.message_bits, 32), 4);
+    EXPECT_TRUE(reused.codeword_slices.empty());
+    EXPECT_TRUE(reused.candidate_encoded_soa.empty());
+    EXPECT_TRUE(reused.decode_gaps.empty());
+}
+
+TEST(CodebookInPlaceRound, AllNodesSlicedRebuildMatchesFreshFieldByField) {
+    Rng rng(0x62);
+    const Graph graph = make_random_regular(72, 4, rng);
+    SimulationParams params = noisy_params(DictionaryPolicy::all_nodes);
+    params.decoy_count = 4;
+    // Low enough that this 76-candidate entry space builds the slices and
+    // the SoA dictionary.
+    params.bitslice_min_candidates = 64;
+    const Codebook book(graph, params);
+
+    Codebook::Round reused;
+    book.build_round(reused, make_messages(graph, params.message_bits, 33), 2);
+    expect_in_place_rebuild_matches_fresh(book, reused,
+                                          make_messages(graph, params.message_bits, 34), 3);
+    EXPECT_FALSE(reused.codeword_slices.empty());
+    EXPECT_FALSE(reused.candidate_encoded_soa.empty());
+}
+
+TEST(CodebookInPlaceRound, ShardViewRebuildMatchesFreshFieldByField) {
+    // A middle shard whose halo slots hold what a transport imported into
+    // them: the rebuild must empty the halo again, like a fresh build.
+    Rng rng(0x63);
+    const Graph graph = make_random_regular(240, 4, rng);
+    const ShardPlan plan = make_shard_plan(graph, 3);
+    const ShardPlan::Shard& shard = plan.shards[1];
+    ASSERT_GT(shard.owned_begin, 0u);
+    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
+    params.decoy_count = 3;
+    Codebook::ShardView view;
+    view.global_ids = shard.local_to_global;
+    view.owned_begin = shard.owned_begin;
+    view.owned_count = shard.owned_count;
+    view.global_node_count = graph.node_count();
+    view.global_max_degree = graph.max_degree();
+    const Codebook book(shard.local, params, std::move(view));
+
+    auto local_messages = [&](std::uint64_t seed) {
+        const auto global = make_messages(graph, params.message_bits, seed);
+        std::vector<std::optional<Bitstring>> local;
+        for (const auto g : shard.local_to_global) {
+            local.push_back(global[g]);
+        }
+        return local;
+    };
+    Codebook::Round reused;
+    book.build_round(reused, local_messages(35), 6);
+    for (const auto& imp : shard.imports) {
+        reused.codewords[imp.local] = ~Bitstring(book.beep_length());
+        reused.one_positions[imp.local] = {0, 1, 2};
+        reused.combined_schedules[imp.local] = ~Bitstring(book.beep_length());
+    }
+    expect_in_place_rebuild_matches_fresh(book, reused, local_messages(36), 7);
+}
+
+TEST(TransportBatchMemo, TransportsWithDifferentCodebooksShareOneBatch) {
+    // One batch, used in turn by three transports whose codebooks differ,
+    // all on the same (messages, nonce): each round must be rebuilt for its
+    // own codebook and equal that transport's fresh-batch result. The
+    // all_nodes codes are seeded differently, so a round built by another
+    // codebook would decode differently, not just more slowly.
+    Rng rng(0x64);
+    const Graph graph = make_random_regular(96, 4, rng);
+    const auto messages = make_messages(graph, 10, 37);
+    SimulationParams sliced = noisy_params(DictionaryPolicy::all_nodes);
+    sliced.bitslice_min_candidates = 64;
+    sliced.code_seed ^= 0x5eed;
+    const BeepTransport two_hop(graph, noisy_params(DictionaryPolicy::two_hop));
+    const BeepTransport all_nodes(graph, sliced);
+    const BeepTransport sharded(graph, noisy_params(DictionaryPolicy::two_hop), 3);
+    ASSERT_EQ(sharded.shard_count(), 3u);
+
+    TransportBatch batch;
+    const RoundSpec spec{&messages, 5, nullptr};
+    for (const BeepTransport* transport :
+         {&two_hop, &all_nodes, &sharded, &two_hop, &sharded, &all_nodes}) {
+        SCOPED_TRACE(::testing::Message() << "shards=" << transport->shard_count());
+        transport->simulate_rounds_into({&spec, 1}, batch);
+        expect_equal_rounds(batch.to_round(0), transport->simulate_round(messages, 5));
+    }
+}
+
+TEST(TransportBatchMemo, CodebookBuiltAfterTheOldOneDiedIsNotAliased) {
+    // The batch keys its round by the codebook that built it. After that
+    // transport and its cache entry are gone, a transport with different
+    // codes on the same (messages, nonce) must still get its own round.
+    Rng rng(0x65);
+    const Graph graph = make_random_regular(64, 4, rng);
+    const auto messages = make_messages(graph, 10, 38);
+    const RoundSpec spec{&messages, 2, nullptr};
+    TransportBatch batch;
+    CodebookCache::instance().clear();
+    {
+        const BeepTransport first(graph, noisy_params(DictionaryPolicy::two_hop));
+        first.simulate_rounds_into({&spec, 1}, batch);
+    }
+    CodebookCache::instance().clear();
+    SimulationParams other = noisy_params(DictionaryPolicy::two_hop);
+    other.code_seed ^= 0x5eed;
+    const BeepTransport second(graph, other);
+    second.simulate_rounds_into({&spec, 1}, batch);
+    expect_equal_rounds(batch.to_round(0), second.simulate_round(messages, 2));
 }
 
 class SameNonceRebuild : public ::testing::TestWithParam<DictionaryPolicy> {};
