@@ -2,8 +2,8 @@
 //
 // Throughput of the primitives everything else is built from: word-parallel
 // superimposition, noise injection (log reference and skip table, plus the
-// table build), codeword generation, threshold and nearest-codeword
-// decoding, and a full Algorithm 1 round.
+// table build), codeword sampling, the per-round codebook build, threshold
+// and nearest-codeword decoding, and a full Algorithm 1 round.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -18,6 +18,7 @@
 #include "codes/distance_code.h"
 #include "common/bitstring.h"
 #include "graph/generators.h"
+#include "sim/codebook.h"
 #include "sim/transport.h"
 
 namespace {
@@ -83,6 +84,48 @@ void BM_BeepCodeword(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_BeepCodeword)->Arg(1 << 12)->Arg(1 << 16);
+
+void BM_DistinctPositions(benchmark::State& state) {
+    // (universe, count) = a codeword's (length, weight) under the defaults:
+    // (960, 80) on a ring, (8640, 240) on an 8-regular graph.
+    const auto universe = static_cast<std::size_t>(state.range(0));
+    const auto count = static_cast<std::size_t>(state.range(1));
+    Rng rng(4);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(rng.distinct_positions(universe, count));
+    }
+}
+BENCHMARK(BM_DistinctPositions)->Args({960, 80})->Args({8640, 240});
+
+void BM_RoundBuild(benchmark::State& state, bool ring) {
+    // Codebook::build_round into one reused Round, serially, with a fresh
+    // nonce per iteration: the round-build stage alone, as every simulated
+    // round pays it. Parameters follow perfbench's ring64k_sharded (B=4,
+    // 8 decoys) and two_hop_rr16k (B=12 here, 32 decoys) at n=4096.
+    constexpr std::size_t n = 4096;
+    Rng rng(8);
+    const Graph g = ring ? make_ring(n) : make_random_regular(n, 8, rng);
+    SimulationParams params;
+    params.epsilon = ring ? 0.05 : 0.1;
+    params.message_bits = ring ? 4 : 12;
+    params.c_eps = 4;
+    params.decoy_count = ring ? 8 : 32;
+    const Codebook book(g, params);
+    std::vector<std::optional<Bitstring>> messages(n);
+    for (auto& message : messages) {
+        message = Bitstring::random(rng, params.message_bits);
+    }
+    Codebook::Round round;
+    std::uint64_t nonce = 0;
+    for (auto _ : state) {
+        book.build_round(round, messages, ++nonce);
+        benchmark::DoNotOptimize(round.phase2_beeps);
+        benchmark::ClobberMemory();
+    }
+    state.counters["beep_length"] = static_cast<double>(book.beep_length());
+}
+BENCHMARK_CAPTURE(BM_RoundBuild, ring, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RoundBuild, regular8, false)->Unit(benchmark::kMillisecond);
 
 void BM_Phase1Accept(benchmark::State& state) {
     const BeepCode code(1 << 14, 256, 5);

@@ -19,26 +19,22 @@ BeepCode BeepCode::theorem4(std::size_t a, std::size_t k, std::size_t c, std::ui
 }
 
 Bitstring BeepCode::codeword(std::uint64_t r) const {
-    Rng generator = Rng(seed_).derive(0x62656570u, r);
+    Rng generator = stream(r);
     return Bitstring::random_with_weight(generator, length_, weight_);
 }
 
 std::vector<std::size_t> BeepCode::one_positions(std::uint64_t r) const {
-    // random_with_weight places 1s at distinct_positions(), which returns a
-    // sorted vector; regenerate it directly to avoid a length_-bit scan.
-    Rng generator = Rng(seed_).derive(0x62656570u, r);
-    return generator.distinct_positions(length_, weight_);
+    // The same draws as codeword(r), as a sorted position list.
+    return stream(r).distinct_positions(length_, weight_);
 }
 
-std::pair<Bitstring, std::vector<std::size_t>> BeepCode::codeword_and_positions(
-    std::uint64_t r) const {
-    Rng generator = Rng(seed_).derive(0x62656570u, r);
-    std::vector<std::size_t> positions = generator.distinct_positions(length_, weight_);
-    Bitstring codeword(length_);
-    for (const auto position : positions) {
-        codeword.set(position);
-    }
-    return {std::move(codeword), std::move(positions)};
+void BeepCode::codeword_into(std::uint64_t r, Bitstring& codeword,
+                             std::vector<std::size_t>& positions) const {
+    Rng generator = stream(r);
+    Bitstring::random_with_weight_into(generator, length_, weight_, codeword);
+    positions.resize(weight_);
+    std::size_t i = 0;
+    codeword.for_each_one([&positions, &i](std::size_t p) { positions[i++] = p; });
 }
 
 }  // namespace nb

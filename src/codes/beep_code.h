@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/bitstring.h"
@@ -40,17 +39,22 @@ public:
     /// the distance codeword into these positions, Notation 7).
     std::vector<std::size_t> one_positions(std::uint64_t r) const;
 
-    /// codeword(r) and one_positions(r) from a single PRNG pass. The
-    /// codebook caches both per round; generating them separately would
-    /// sample the same distinct-position set twice.
-    std::pair<Bitstring, std::vector<std::size_t>> codeword_and_positions(
-        std::uint64_t r) const;
+    /// codeword(r) and one_positions(r) from one sampler pass, written into
+    /// caller-owned buffers whose storage is reused: Rng::distinct_bits
+    /// samples straight into the codeword's words, and the positions are
+    /// read off them in order. The codebook builds every round's codewords
+    /// this way, allocation-free once its buffers are warm.
+    void codeword_into(std::uint64_t r, Bitstring& codeword,
+                       std::vector<std::size_t>& positions) const;
 
     std::size_t length() const noexcept { return length_; }
     std::size_t weight() const noexcept { return weight_; }
     std::uint64_t seed() const noexcept { return seed_; }
 
 private:
+    /// The stream codeword r is drawn from.
+    Rng stream(std::uint64_t r) const { return Rng(seed_).derive(0x62656570u, r); }
+
     std::size_t length_;
     std::size_t weight_;
     std::uint64_t seed_;

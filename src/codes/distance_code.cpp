@@ -22,10 +22,16 @@ DistanceCode DistanceCode::lemma6(std::size_t message_bits, double delta, std::u
 }
 
 Bitstring DistanceCode::encode(const Bitstring& message) const {
+    Bitstring codeword;
+    encode_into(message, codeword);
+    return codeword;
+}
+
+void DistanceCode::encode_into(const Bitstring& message, Bitstring& out) const {
     require(message.size() == message_bits_,
             "DistanceCode::encode: message has the wrong length");
     Rng generator = Rng(seed_).derive(0x64697374u, message.hash());
-    return Bitstring::random(generator, length_);
+    Bitstring::random_into(generator, length_, out);
 }
 
 namespace {

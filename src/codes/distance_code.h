@@ -43,6 +43,10 @@ public:
     /// Codeword for `message`. Precondition: message.size() == message_bits.
     Bitstring encode(const Bitstring& message) const;
 
+    /// encode() into a caller-owned codeword (not `message`), reusing its
+    /// word storage.
+    void encode_into(const Bitstring& message, Bitstring& out) const;
+
     /// Result of a nearest-codeword decode.
     struct Decoded {
         Bitstring message;              ///< the winning candidate

@@ -33,12 +33,18 @@ Bitstring Bitstring::from_string(const std::string& bits) {
 }
 
 Bitstring Bitstring::random(Rng& rng, std::size_t size) {
-    Bitstring result(size);
-    for (auto& word : result.words_) {
+    Bitstring result;
+    random_into(rng, size, result);
+    return result;
+}
+
+void Bitstring::random_into(Rng& rng, std::size_t size, Bitstring& out) {
+    out.size_ = size;
+    out.words_.resize(word_count_for(size));
+    for (auto& word : out.words_) {
         word = rng.next_u64();
     }
-    result.clear_padding();
-    return result;
+    out.clear_padding();
 }
 
 Bitstring Bitstring::from_words(std::span<const std::uint64_t> words, std::size_t bits) {
@@ -53,12 +59,16 @@ Bitstring Bitstring::from_words(std::span<const std::uint64_t> words, std::size_
 }
 
 Bitstring Bitstring::random_with_weight(Rng& rng, std::size_t size, std::size_t weight) {
-    require(weight <= size, "Bitstring::random_with_weight: weight must be <= size");
-    Bitstring result(size);
-    for (const auto position : rng.distinct_positions(size, weight)) {
-        result.set(position);
-    }
+    Bitstring result;
+    random_with_weight_into(rng, size, weight, result);
     return result;
+}
+
+void Bitstring::random_with_weight_into(Rng& rng, std::size_t size, std::size_t weight,
+                                        Bitstring& out) {
+    require(weight <= size, "Bitstring::random_with_weight: weight must be <= size");
+    out.reset(size);
+    rng.distinct_bits(size, weight, out.words_);
 }
 
 bool Bitstring::test(std::size_t index) const {
@@ -200,20 +210,20 @@ void Bitstring::store_bits(std::size_t pos, std::uint64_t value, std::size_t wid
     }
 }
 
-Bitstring Bitstring::tail(std::size_t from) const {
+void Bitstring::tail_into(std::size_t from, Bitstring& out) const {
     require(from <= size_, "Bitstring::tail: start out of range");
-    Bitstring result(size_ - from);
+    out.size_ = size_ - from;
+    out.words_.resize(word_count_for(out.size_));
     const std::size_t word = from / bits_per_word;
     const std::size_t offset = from % bits_per_word;
-    for (std::size_t w = 0; w < result.words_.size(); ++w) {
+    for (std::size_t w = 0; w < out.words_.size(); ++w) {
         std::uint64_t value = words_[word + w] >> offset;
         if (offset != 0 && word + w + 1 < words_.size()) {
             value |= words_[word + w + 1] << (bits_per_word - offset);
         }
-        result.words_[w] = value;
+        out.words_[w] = value;
     }
-    result.clear_padding();
-    return result;
+    out.clear_padding();
 }
 
 Bitstring Bitstring::gather(const std::vector<std::size_t>& positions) const {
@@ -253,16 +263,22 @@ void Bitstring::gather_mask_into(const Bitstring& mask, Bitstring& out,
 
 Bitstring Bitstring::scatter(std::size_t size, const std::vector<std::size_t>& positions,
                              const Bitstring& values) {
+    Bitstring result;
+    scatter_into(size, positions, values, result);
+    return result;
+}
+
+void Bitstring::scatter_into(std::size_t size, std::span<const std::size_t> positions,
+                             const Bitstring& values, Bitstring& out) {
     require(values.size() == positions.size(),
             "Bitstring::scatter: values and positions must have matching length");
-    Bitstring result(size);
+    out.reset(size);
     for (std::size_t i = 0; i < positions.size(); ++i) {
-        require(positions[i] < size, "Bitstring::scatter: position out of range");
-        if (values.test(i)) {
-            result.set(positions[i]);
-        }
+        const std::size_t p = positions[i];
+        require(p < size, "Bitstring::scatter: position out of range");
+        const std::uint64_t bit = (values.words_[i / bits_per_word] >> (i % bits_per_word)) & 1u;
+        out.words_[p / bits_per_word] |= bit << (p % bits_per_word);
     }
-    return result;
 }
 
 template <typename NextSkip>

@@ -36,6 +36,9 @@ public:
     /// Uniformly random bitstring of `size` bits.
     static Bitstring random(Rng& rng, std::size_t size);
 
+    /// random() into a caller-owned string, reusing its word storage.
+    static void random_into(Rng& rng, std::size_t size, Bitstring& out);
+
     /// Bitstring of `bits` bits copied from packed word storage (the layout
     /// words() exposes). `words` must hold ceil(bits / 64) words or more;
     /// unused high bits of the last word are cleared. The zero-copy
@@ -46,6 +49,11 @@ public:
     /// Random bitstring of `size` bits with exactly `weight` ones
     /// (uniform over all such strings). Precondition: weight <= size.
     static Bitstring random_with_weight(Rng& rng, std::size_t size, std::size_t weight);
+
+    /// random_with_weight() into a caller-owned string: Rng::distinct_bits
+    /// samples straight into its words, reusing their storage.
+    static void random_with_weight_into(Rng& rng, std::size_t size, std::size_t weight,
+                                        Bitstring& out);
 
     std::size_t size() const noexcept { return size_; }
     bool empty() const noexcept { return size_ == 0; }
@@ -131,11 +139,12 @@ public:
     /// Precondition: width <= 64, pos + width <= size(), and `value` fits.
     void store_bits(std::size_t pos, std::uint64_t value, std::size_t width);
 
-    /// The suffix [from, size()) as a new Bitstring of size() - from bits —
-    /// a word-parallel shift, replacing bit-by-bit extraction loops (the
-    /// transports use it to strip payload presence bits).
+    /// The suffix [from, size()) written into `out` (not this string) as a
+    /// Bitstring of size() - from bits, reusing its word storage — a
+    /// word-parallel shift, replacing bit-by-bit extraction loops (the
+    /// codebook uses it to strip payload presence bits).
     /// Precondition: from <= size().
-    Bitstring tail(std::size_t from) const;
+    void tail_into(std::size_t from, Bitstring& out) const;
 
     /// Gather the bits of this string at the given positions, in order:
     /// result[i] = this[positions[i]]. Used to extract the subsequence
@@ -164,6 +173,11 @@ public:
     /// C(r). Precondition: values.size() == positions.size().
     static Bitstring scatter(std::size_t size, const std::vector<std::size_t>& positions,
                              const Bitstring& values);
+
+    /// scatter() into a caller-owned result (not `values`), reusing its
+    /// word storage.
+    static void scatter_into(std::size_t size, std::span<const std::size_t> positions,
+                             const Bitstring& values, Bitstring& out);
 
     /// Flip each bit independently with probability `epsilon` — the noisy
     /// beeping channel. Uses geometric skip sampling: O(#flips) expected work.

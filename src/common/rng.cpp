@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "common/error.h"
 
@@ -20,14 +21,6 @@ std::uint64_t mix64(std::uint64_t value) noexcept {
     return splitmix64(state);
 }
 
-namespace {
-
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
     std::uint64_t sm = seed;
     for (auto& word : state_) {
@@ -35,26 +28,14 @@ Rng::Rng(std::uint64_t seed) noexcept {
     }
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
 std::uint64_t Rng::next_below(std::uint64_t bound) {
     require(bound > 0, "Rng::next_below: bound must be positive");
     // Classic unbiased rejection sampling: discard draws below
-    // 2^64 mod bound, then reduce.
-    const std::uint64_t threshold = (0 - bound) % bound;
+    // 2^64 mod bound, then reduce. That threshold is < bound, so a draw
+    // >= bound is kept without computing it (a second division).
     while (true) {
         const std::uint64_t x = next_u64();
-        if (x >= threshold) {
+        if (x >= bound || x >= (0 - bound) % bound) {
             return x % bound;
         }
     }
@@ -178,51 +159,67 @@ GeometricSkipTable::GeometricSkipTable(double p) : p_(p), log1p_neg_p_(std::log1
     guide_[0] = static_cast<std::uint16_t>(size_);
 }
 
-std::vector<std::size_t> Rng::distinct_positions(std::size_t universe, std::size_t count) {
-    require(count <= universe, "Rng::distinct_positions: count must be <= universe");
-    // Floyd's algorithm gives `count` distinct samples in O(count) expected
-    // time; we collect into a sorted vector at the end.
-    std::vector<std::size_t> chosen;
-    chosen.reserve(count);
-    std::vector<bool> taken;
-    // For dense requests a plain partial Fisher-Yates over a scratch vector
-    // would allocate O(universe); Floyd + membership bitmap keeps memory at
-    // O(universe/8) only when universe is small, otherwise uses sorted probe.
-    if (universe <= (1u << 22)) {
-        taken.assign(universe, false);
+namespace {
+
+constexpr std::size_t kFloydUniverseLimit = std::size_t{1} << 22;
+
+/// The draws behind distinct_bits and distinct_positions. Membership is the
+/// caller's: insert(p) adds p and returns whether it was new. Whether a
+/// draw is kept depends only on membership, so any set gives the same
+/// draws and the same result.
+template <typename Insert>
+void draw_distinct(Rng& rng, std::size_t universe, std::size_t count, Insert insert) {
+    if (universe <= kFloydUniverseLimit) {
+        // Floyd: step j draws t in [0, j] and takes j instead when t is
+        // taken; every earlier pick is < j, so j is always new.
         for (std::size_t j = universe - count; j < universe; ++j) {
-            const auto t = static_cast<std::size_t>(next_below(j + 1));
-            if (!taken[t]) {
-                taken[t] = true;
-                chosen.push_back(t);
-            } else {
-                taken[j] = true;
-                chosen.push_back(j);
+            if (!insert(static_cast<std::size_t>(rng.next_below(j + 1)))) {
+                insert(j);
             }
         }
     } else {
-        // Rejection sampling is fine when count << universe (our use case for
-        // large universes); expected iterations ~ count for count <= sqrt-ish
-        // densities.
-        std::vector<std::size_t> sorted;
-        sorted.reserve(count);
-        while (sorted.size() < count) {
-            const auto candidate = static_cast<std::size_t>(next_below(universe));
-            bool duplicate = false;
-            for (const auto existing : sorted) {
-                if (existing == candidate) {
-                    duplicate = true;
-                    break;
-                }
-            }
-            if (!duplicate) {
-                sorted.push_back(candidate);
+        for (std::size_t drawn = 0; drawn < count;) {
+            drawn += insert(static_cast<std::size_t>(rng.next_below(universe))) ? 1 : 0;
+        }
+    }
+}
+
+}  // namespace
+
+void Rng::distinct_bits(std::size_t universe, std::size_t count,
+                        std::span<std::uint64_t> bitmap) {
+    require(count <= universe, "Rng::distinct_bits: count must be <= universe");
+    require(bitmap.size() * 64 >= universe, "Rng::distinct_bits: bitmap too small");
+    draw_distinct(*this, universe, count, [bitmap](std::size_t p) {
+        std::uint64_t& word = bitmap[p / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (p % 64);
+        const bool fresh = (word & bit) == 0;
+        word |= bit;
+        return fresh;
+    });
+}
+
+std::vector<std::size_t> Rng::distinct_positions(std::size_t universe, std::size_t count) {
+    require(count <= universe, "Rng::distinct_positions: count must be <= universe");
+    std::vector<std::size_t> positions;
+    positions.reserve(count);
+    if (universe <= kFloydUniverseLimit) {
+        std::vector<std::uint64_t> bitmap((universe + 63) / 64);
+        distinct_bits(universe, count, bitmap);
+        for (std::size_t w = 0; w < bitmap.size(); ++w) {
+            for (std::uint64_t word = bitmap[w]; word != 0; word &= word - 1) {
+                positions.push_back(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
             }
         }
-        chosen = std::move(sorted);
+        return positions;
     }
-    std::sort(chosen.begin(), chosen.end());
-    return chosen;
+    std::unordered_set<std::size_t> seen;
+    seen.reserve(count);
+    draw_distinct(*this, universe, count,
+                  [&seen](std::size_t p) { return seen.insert(p).second; });
+    positions.assign(seen.begin(), seen.end());
+    std::sort(positions.begin(), positions.end());
+    return positions;
 }
 
 Rng Rng::derive(std::uint64_t stream_id) const noexcept {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace nb {
@@ -35,7 +36,17 @@ public:
     explicit Rng(std::uint64_t seed = 0) noexcept;
 
     /// Next raw 64-bit output.
-    std::uint64_t next_u64() noexcept;
+    std::uint64_t next_u64() noexcept {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /// Uniform integer in [0, bound). Precondition: bound > 0.
     std::uint64_t next_below(std::uint64_t bound);
@@ -60,8 +71,21 @@ public:
     /// draws and arithmetic are identical to geometric_skip(p).
     std::uint64_t geometric_skip_with(double log1p_neg_p) noexcept;
 
-    /// `count` distinct positions sampled uniformly from [0, universe),
-    /// returned sorted ascending (Floyd's algorithm).
+    /// Set `count` distinct bits of `bitmap`, a uniformly random subset of
+    /// [0, universe); bit p is bit p % 64 of word p / 64. This is the one
+    /// sampler behind distinct_positions: the same draws, the same set and
+    /// the same generator state afterwards. For universe <= 2^22 it is
+    /// Floyd's algorithm (exactly `count` draws); above, rejection of
+    /// repeated draws, meant for count much smaller than universe. The
+    /// bitmap doubles as the membership set, so a caller that wants the set
+    /// as a bit string (a beep codeword) gets it with no sort and no copy.
+    /// Preconditions: count <= universe; bitmap holds ceil(universe / 64)
+    /// words, all zero.
+    void distinct_bits(std::size_t universe, std::size_t count, std::span<std::uint64_t> bitmap);
+
+    /// distinct_bits' set as positions sorted ascending: read off a bitmap
+    /// for universe <= 2^22, collected through a hash set above (a bitmap
+    /// of a large universe would cost far more than `count` positions).
     /// Precondition: count <= universe.
     std::vector<std::size_t> distinct_positions(std::size_t universe, std::size_t count);
 
@@ -87,6 +111,10 @@ public:
     Rng derive(std::uint64_t id_a, std::uint64_t id_b) const noexcept;
 
 private:
+    static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state_{};
 };
 

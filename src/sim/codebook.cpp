@@ -14,17 +14,18 @@ namespace {
 
 NB_FAILPOINT_DEFINE(fp_codebook_build, "codebook.build");
 
-/// Pad/flag an optional algorithm message into a transport payload:
-/// bit 0 = presence, bits 1..message_bits = the message (zero-padded).
-Bitstring make_payload(const std::optional<Bitstring>& message, std::size_t message_bits) {
-    Bitstring payload(message_bits + 1);
+/// Pad/flag an optional algorithm message into a transport payload, in
+/// place: bit 0 = presence, bits 1..message_bits = the message
+/// (zero-padded).
+void write_payload(const std::optional<Bitstring>& message, std::size_t message_bits,
+                   Bitstring& payload) {
+    payload.reset(message_bits + 1);
     if (message.has_value()) {
         require(message->size() <= message_bits,
                 "BeepTransport: message exceeds the bit budget");
         payload.set(0);
         message->for_each_one([&payload](std::size_t i) { payload.set(1 + i); });
     }
-    return payload;
 }
 
 CombinedCode make_combined(const SimulationParams& params, std::size_t max_degree) {
@@ -196,7 +197,10 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     // keyed rng stream, so each loop writes presized per-index slots and runs
     // on `pool` when given one: outputs are identical for any worker count.
     // The loops keep one kind of data each, so a serial build allocates each
-    // array's elements contiguously.
+    // array's elements contiguously. Every slot is written in place (the
+    // `_into` forms), reusing the storage it already holds: rebuilding a
+    // warm Round allocates nothing, except for the all_nodes bitslice matrix
+    // and decode gaps below.
     const std::size_t decoys = params_.decoy_count;
     const std::size_t entry_count = n + 1 + decoys;
 
@@ -204,7 +208,7 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     round.inputs.assign(n, 0);
     round.payloads.resize(n);
     for_each_index(pool, n, [&](std::size_t v) {
-        round.payloads[v] = make_payload(messages[v], params_.message_bits);
+        write_payload(messages[v], params_.message_bits, round.payloads[v]);
         if (v >= owned_lo && v < owned_hi) {
             round.inputs[v] =
                 round.rng.derive(0x7069636bu, global_id(static_cast<NodeId>(v))).next_u64();
@@ -220,10 +224,9 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     for (std::size_t i = 0; i < decoys; ++i) {
         Rng decoy_rng = round.rng.derive(0x6465636fu, i);
         round.decoy_inputs[i] = decoy_rng.next_u64();
-        round.candidate_messages[n + 1 + i] = Bitstring::random(decoy_rng, payload_bits);
-        auto [codeword, positions] = beep.codeword_and_positions(round.decoy_inputs[i]);
-        round.decoy_codewords[i] = std::move(codeword);
-        round.decoy_one_positions[i] = std::move(positions);
+        Bitstring::random_into(decoy_rng, payload_bits, round.candidate_messages[n + 1 + i]);
+        beep.codeword_into(round.decoy_inputs[i], round.decoy_codewords[i],
+                           round.decoy_one_positions[i]);
     }
 
     // Codewords C(r_v) with their 1-positions, for the owned nodes.
@@ -241,21 +244,19 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     }
     for_each_index(pool, owned_hi - owned_lo, [&](std::size_t i) {
         const std::size_t v = owned_lo + i;
-        auto [codeword, positions] = beep.codeword_and_positions(round.inputs[v]);
-        round.codewords[v] = std::move(codeword);
-        round.one_positions[v] = std::move(positions);
+        beep.codeword_into(round.inputs[v], round.codewords[v], round.one_positions[v]);
     });
 
     // Phase-2 candidate dictionary over the entry space, encoded once.
     for_each_index(pool, n, [&](std::size_t v) {
         round.candidate_messages[v] = round.payloads[v];
     });
-    round.candidate_messages[n] = Bitstring(payload_bits);  // the null payload
+    round.candidate_messages[n].reset(payload_bits);  // the null payload
     round.candidate_encoded.resize(entry_count);
     round.candidate_tails.resize(entry_count);
     for_each_index(pool, entry_count, [&](std::size_t e) {
-        round.candidate_encoded[e] = distance.encode(round.candidate_messages[e]);
-        round.candidate_tails[e] = round.candidate_messages[e].tail(1);
+        distance.encode_into(round.candidate_messages[e], round.candidate_encoded[e]);
+        round.candidate_messages[e].tail_into(1, round.candidate_tails[e]);
     });
 
     // Bitsliced phase-1 matrix and phase-2 decode radii: only the all_nodes
@@ -325,8 +326,8 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     // shards, each node counted by exactly its owner.
     for_each_index(pool, owned_hi - owned_lo, [&](std::size_t i) {
         const std::size_t v = owned_lo + i;
-        round.combined_schedules[v] = Bitstring::scatter(
-            beep.length(), round.one_positions[v], round.candidate_encoded[v]);
+        Bitstring::scatter_into(beep.length(), round.one_positions[v],
+                                round.candidate_encoded[v], round.combined_schedules[v]);
     });
     round.phase2_beeps = 0;
     for (std::size_t v = owned_lo; v < owned_hi; ++v) {
@@ -377,8 +378,10 @@ std::uint64_t Codebook::fingerprint() const {
     }
     // Code content probes: codewords and encodings are pure functions of the
     // code seeds, so a few sampled inputs pin the codes bit for bit.
+    Bitstring codeword;
+    std::vector<std::size_t> positions;
     for (std::uint64_t i = 0; i < 8; ++i) {
-        const auto [codeword, positions] = beep_code().codeword_and_positions(mix64(i));
+        beep_code().codeword_into(mix64(i), codeword, positions);
         mix(codeword.hash());
         mix(positions.size());
     }

@@ -140,8 +140,11 @@ public:
 
     /// Rebuild `round` in place as the Round for (messages, nonce): every
     /// field is overwritten (accumulators reset, halo slots of a shard view
-    /// emptied), reusing the vectors `round` already holds, so the result
-    /// equals a fresh build whatever `round` held before. Thread-safe for
+    /// emptied), so the result equals a fresh build whatever `round` held
+    /// before. Each per-node and per-entry slot is rewritten into the
+    /// storage it already holds, so rebuilding a warm Round of the same
+    /// shape allocates nothing under two_hop (all_nodes still rebuilds its
+    /// bitslice matrix and decode gaps). Thread-safe for
     /// distinct `round` objects. A Round is channel-independent by
     /// construction (codewords, schedules, and dictionaries are what nodes
     /// *transmit*; the ChannelModel perturbs transcripts at hear time, from

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -194,6 +197,129 @@ TEST(Rng, ShuffleIsPermutation) {
 TEST(Mix64, StatelessAndStable) {
     EXPECT_EQ(mix64(42), mix64(42));
     EXPECT_NE(mix64(42), mix64(43));
+}
+
+// ---------------------------------------------------------------------------
+// The sampler before the bitmap rewrite, kept verbatim as the reference the
+// shipped one must match draw for draw: next_below with its threshold
+// computed up front, and distinct_positions with a vector<bool> membership
+// set, a sort, and a linear duplicate scan above 2^22.
+
+std::uint64_t reference_next_below(Rng& rng, std::uint64_t bound) {
+    require(bound > 0, "Rng::next_below: bound must be positive");
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (true) {
+        const std::uint64_t x = rng.next_u64();
+        if (x >= threshold) {
+            return x % bound;
+        }
+    }
+}
+
+std::vector<std::size_t> reference_distinct_positions(Rng& rng, std::size_t universe,
+                                                      std::size_t count) {
+    require(count <= universe, "Rng::distinct_positions: count must be <= universe");
+    std::vector<std::size_t> chosen;
+    chosen.reserve(count);
+    std::vector<bool> taken;
+    if (universe <= (1u << 22)) {
+        taken.assign(universe, false);
+        for (std::size_t j = universe - count; j < universe; ++j) {
+            const auto t = static_cast<std::size_t>(reference_next_below(rng, j + 1));
+            if (!taken[t]) {
+                taken[t] = true;
+                chosen.push_back(t);
+            } else {
+                taken[j] = true;
+                chosen.push_back(j);
+            }
+        }
+    } else {
+        std::vector<std::size_t> sorted;
+        sorted.reserve(count);
+        while (sorted.size() < count) {
+            const auto candidate = static_cast<std::size_t>(reference_next_below(rng, universe));
+            bool duplicate = false;
+            for (const auto existing : sorted) {
+                if (existing == candidate) {
+                    duplicate = true;
+                    break;
+                }
+            }
+            if (!duplicate) {
+                sorted.push_back(candidate);
+            }
+        }
+        chosen = std::move(sorted);
+    }
+    std::sort(chosen.begin(), chosen.end());
+    return chosen;
+}
+
+TEST(RngSamplerEquivalence, NextBelowMatchesEagerThreshold) {
+    // 2^63 + 1 rejects almost half of all draws, 2^64 - 1 only draw 0: both
+    // rejection outcomes, and draws on either side of the bound, occur.
+    for (const std::uint64_t bound :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, (std::uint64_t{1} << 32) + 1,
+          std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+        SCOPED_TRACE(::testing::Message() << "bound=" << bound);
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            Rng shipped(seed);
+            Rng reference(seed);
+            for (int i = 0; i < 2000; ++i) {
+                ASSERT_EQ(shipped.next_below(bound), reference_next_below(reference, bound));
+            }
+            EXPECT_EQ(shipped.next_u64(), reference.next_u64());
+        }
+    }
+}
+
+TEST(RngSamplerEquivalence, DistinctPositionsAndBitsMatchReference) {
+    // Universes on both sides of the word size and of the 2^22 branch point,
+    // the codeword lengths the transports use (ring and 8-regular defaults,
+    // the paper constants at toy scale), and counts 0, 1, typical, all.
+    // Above 2^22 the reference's duplicate scan is quadratic, so the
+    // typical count there is 8192: still enough draws to repeat a few.
+    // Universes from 2^22 up run one seed (they dominate a sanitizer run).
+    constexpr std::size_t kLarge = std::size_t{1} << 22;
+    const std::vector<std::size_t> universes = {1,    2,    5,      63,         64,
+                                                65,   200,  960,    1920,       8640,
+                                                kLarge, kLarge + 1, 15116544};
+    for (const std::size_t universe : universes) {
+        std::vector<std::size_t> counts = {0, 1};
+        counts.push_back(universe > kLarge ? 8192 : std::max<std::size_t>(1, universe / 12));
+        if (universe <= kLarge) {
+            counts.push_back(universe);
+        }
+        for (const std::size_t count : counts) {
+            if (count > universe) {
+                continue;
+            }
+            SCOPED_TRACE(::testing::Message() << "universe=" << universe << " count=" << count);
+            const std::uint64_t seeds = universe >= kLarge ? 1 : 3;
+            for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+                Rng reference(seed);
+                const auto expected = reference_distinct_positions(reference, universe, count);
+                const std::uint64_t next = reference.next_u64();
+
+                Rng shipped(seed);
+                EXPECT_EQ(shipped.distinct_positions(universe, count), expected);
+                EXPECT_EQ(shipped.next_u64(), next);
+
+                Rng bits(seed);
+                std::vector<std::uint64_t> bitmap((universe + 63) / 64);
+                bits.distinct_bits(universe, count, bitmap);
+                std::vector<std::size_t> read;
+                for (std::size_t w = 0; w < bitmap.size(); ++w) {
+                    for (std::uint64_t word = bitmap[w]; word != 0; word &= word - 1) {
+                        read.push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+                    }
+                }
+                EXPECT_EQ(read, expected);
+                EXPECT_EQ(bits.next_u64(), next);
+            }
+        }
+    }
 }
 
 }  // namespace

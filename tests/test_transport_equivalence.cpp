@@ -11,6 +11,7 @@
 #include <optional>
 #include <ostream>
 
+#include "alloc_hooks.h"
 #include "baselines/tdma_transport.h"
 #include "common/bitslice.h"
 #include "common/error.h"
@@ -407,6 +408,57 @@ TEST(CodebookInPlaceRound, ShardViewRebuildMatchesFreshFieldByField) {
         reused.combined_schedules[imp.local] = ~Bitstring(book.beep_length());
     }
     expect_in_place_rebuild_matches_fresh(book, reused, local_messages(36), 7);
+}
+
+TEST(CodebookRoundBuild, FreshNonceRebuildAllocatesNothing) {
+    // build_round's in-place contract on the path real workloads take:
+    // every round has a new nonce and new message contents, so the Round is
+    // rebuilt, never kept. Once warm, a rebuild reuses every slot's storage
+    // and allocates nothing, for a whole-graph two_hop codebook and for a
+    // shard view, at one worker and at four (where the worker that writes
+    // each slot changes from build to build).
+    Rng rng(0x66);
+    const Graph graph = make_random_regular(96, 6, rng);
+    const Graph ring = make_ring(240);
+    const ShardPlan plan = make_shard_plan(ring, 4);
+    const ShardPlan::Shard& shard = plan.shards[1];
+    SimulationParams params = noisy_params(DictionaryPolicy::two_hop);
+    params.decoy_count = 4;
+    Codebook::ShardView view;
+    view.global_ids = shard.local_to_global;
+    view.owned_begin = shard.owned_begin;
+    view.owned_count = shard.owned_count;
+    view.global_node_count = ring.node_count();
+    view.global_max_degree = ring.max_degree();
+    const Codebook whole(graph, params);
+    const Codebook shard_book(shard.local, params, std::move(view));
+
+    for (const std::size_t threads : {1, 4}) {
+        ThreadPool pool(threads);
+        for (const Codebook* book : {&whole, &shard_book}) {
+            SCOPED_TRACE(::testing::Message() << (book == &whole ? "two_hop" : "shard view")
+                                              << " threads=" << threads);
+            // One message set per build: the same silent nodes, new bits.
+            const auto base = make_messages(book->graph(), params.message_bits, 39);
+            std::vector<std::vector<std::optional<Bitstring>>> per_round(6, base);
+            for (std::size_t i = 0; i < per_round.size(); ++i) {
+                for (auto& message : per_round[i]) {
+                    if (message.has_value()) {
+                        message->flip(i % params.message_bits);
+                    }
+                }
+            }
+            Codebook::Round round;
+            book->build_round(round, per_round[0], 100, &pool);
+            book->build_round(round, per_round[1], 101, &pool);
+            const std::uint64_t before = alloc_hooks::count();
+            for (std::size_t i = 2; i < per_round.size(); ++i) {
+                book->build_round(round, per_round[i], 100 + i, &pool);
+            }
+            EXPECT_EQ(alloc_hooks::count() - before, 0u) << "a warm rebuild allocated";
+            expect_equal_round_fields(round, *book->round(per_round.back(), 105));
+        }
+    }
 }
 
 TEST(TransportBatchMemo, TransportsWithDifferentCodebooksShareOneBatch) {
