@@ -2,8 +2,9 @@
 //
 // Throughput of the primitives everything else is built from: word-parallel
 // superimposition, noise injection (log reference and skip table, plus the
-// table build), codeword sampling, the per-round codebook build, threshold
-// and nearest-codeword decoding, and a full Algorithm 1 round.
+// table build), the channel-noise stage per channel model, codeword
+// sampling, the per-round codebook build, threshold and nearest-codeword
+// decoding, and a full Algorithm 1 round.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "beep/batch_engine.h"
+#include "beep/channel_model.h"
 #include "common/aligned.h"
 #include "common/simd/simd.h"
 #include "codes/beep_code.h"
@@ -64,6 +66,32 @@ void BM_NoiseInjectionTable(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_NoiseInjectionTable)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// ChannelNoiseSampler::apply on one fresh sampler per transcript, as
+// BatchEngine calls it, at b = 13,608 (ge-burst's transcript length): iid
+// at 0.1 with its skip table, ge-burst's Gilbert-Elliott channel, and the
+// heterogeneous scenario's rates. Reports the time per transcript bit.
+void BM_ChannelNoiseApply(benchmark::State& state, const ChannelModel& model) {
+    constexpr std::size_t bits = 13608;
+    const std::optional<GeometricSkipTable> table = model.skip_table();
+    Bitstring transcript(bits);
+    std::uint64_t node = 0;
+    for (auto _ : state) {
+        transcript.reset(bits);
+        ChannelNoiseSampler sampler(model, node, Rng(3).derive(0x6e6f6973u, node));
+        ++node;
+        sampler.apply(transcript, /*dense=*/false, table ? &*table : nullptr);
+        benchmark::DoNotOptimize(transcript);
+    }
+    state.counters["time_per_bit"] = benchmark::Counter(
+        static_cast<double>(bits),
+        benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ChannelNoiseApply, iid_table, ChannelModel::iid(0.1));
+BENCHMARK_CAPTURE(BM_ChannelNoiseApply, gilbert_elliott,
+                  ChannelModel::gilbert_elliott(0.03, 0.15, 0.02, 0.35));
+BENCHMARK_CAPTURE(BM_ChannelNoiseApply, heterogeneous,
+                  ChannelModel::heterogeneous(0.02, 0.30, 0x686574));
 
 // One table build, paid once per transport; the argument is epsilon in
 // thousandths.

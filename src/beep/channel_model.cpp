@@ -249,13 +249,47 @@ void ChannelNoiseSampler::apply(Bitstring& transcript, bool dense,
                 transcript.apply_noise(rng_, epsilon_);
             }
             return;
-        case ChannelModelKind::gilbert_elliott:
-            for (std::size_t i = 0; i < transcript.size(); ++i) {
-                if (flip_next(transcript.test(i))) {
-                    transcript.flip(i);
+        case ChannelModelKind::gilbert_elliott: {
+            // flip_next's draws in flip_next's order (a flip draw under the
+            // current state, then a transition draw), each bernoulli(p) as
+            // its exact integer compare, and each word's flips XORed in as
+            // one mask. Index 0 is the good state, 1 the burst.
+            const std::uint64_t flip_below[2] = {
+                Rng::bernoulli_threshold(model_.ge_epsilon_good),
+                Rng::bernoulli_threshold(model_.ge_epsilon_bad)};
+            const std::uint64_t switch_below[2] = {
+                Rng::bernoulli_threshold(model_.ge_p_enter_burst),
+                Rng::bernoulli_threshold(model_.ge_p_exit_burst)};
+            const auto sample = [&](auto trial) {
+                std::size_t state = in_burst_ ? 1 : 0;
+                const std::size_t size = transcript.size();
+                for (std::size_t pos = 0; pos < size; pos += 64) {
+                    const std::size_t width = std::min<std::size_t>(64, size - pos);
+                    std::uint64_t flips = 0;
+                    for (std::size_t i = 0; i < width; ++i) {
+                        flips |= std::uint64_t{trial(flip_below[state])} << i;
+                        state ^= std::size_t{trial(switch_below[state])};
+                    }
+                    if (flips != 0) {
+                        transcript.store_bits(pos, transcript.load_bits(pos, width) ^ flips,
+                                              width);
+                    }
                 }
+                in_burst_ = state == 1;
+            };
+            // With every rate strictly inside (0, 1), every trial draws, and
+            // the compare needs no check for the no-draw rates 0 and 1.
+            const auto draws = [](std::uint64_t t) {
+                return t != 0 && t != Rng::kBernoulliAlways;
+            };
+            if (draws(flip_below[0]) && draws(flip_below[1]) && draws(switch_below[0]) &&
+                draws(switch_below[1])) {
+                sample([this](std::uint64_t t) { return (rng_.next_u64() >> 11) < t; });
+            } else {
+                sample([this](std::uint64_t t) { return rng_.bernoulli_below(t); });
             }
             return;
+        }
         case ChannelModelKind::adversarial_budget: {
             // Erase the earliest `budget` heard 1s. for_each_one tolerates
             // clearing the current bit (it walks a word copy).

@@ -152,10 +152,15 @@ public:
     /// distribution, O(#flips) expected work). The skip sampler looks its
     /// gaps up in `skip_table` when one is given (the model's own
     /// skip_table(), so iid only) and computes them otherwise — the same
-    /// draws and flips either way. Stateful models are always dense. Must
-    /// be used on a fresh sampler (transcript == bits 0..n).
+    /// draws and flips either way. Stateful models are always dense:
+    /// gilbert_elliott consumes exactly flip_next's draws, bit by bit, and
+    /// XORs each word's flips in at once. Must be used on a fresh sampler
+    /// (transcript == bits 0..n).
     void apply(Bitstring& transcript, bool dense,
                const GeometricSkipTable* skip_table = nullptr);
+
+    /// The noise stream as the draws made so far left it.
+    const Rng& rng() const noexcept { return rng_; }
 
 private:
     ChannelModel model_;  ///< by value: temporaries at the call site are fine

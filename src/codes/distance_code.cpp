@@ -1,6 +1,7 @@
 #include "codes/distance_code.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.h"
@@ -62,6 +63,22 @@ void consider_candidate(std::optional<DistanceCode::Decoded>& best, const Bitstr
     }
 }
 
+/// Hamming distance from `received` to one dictionary encoding as an inline
+/// popcount loop. Phase-2 encodings are a few words long (2 on a ring, 4
+/// under the two_hop defaults), so Bitstring::hamming_distance's indirect
+/// SIMD call would cost more than the words it counts.
+std::size_t entry_distance(const Bitstring& received, const Bitstring& encoded) {
+    require(encoded.size() == received.size(),
+            "DistanceCode::nearest_entry: encoding has the wrong length");
+    const std::uint64_t* a = received.words().data();
+    const std::uint64_t* b = encoded.words().data();
+    std::size_t total = 0;
+    for (std::size_t w = 0; w < received.words().size(); ++w) {
+        total += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
+    }
+    return total;
+}
+
 }  // namespace
 
 std::optional<DistanceCode::Decoded> DistanceCode::decode(
@@ -93,23 +110,25 @@ std::optional<DistanceCode::Decoded> DistanceCode::decode_cached(
 
 std::vector<std::uint32_t> DistanceCode::decode_gaps(std::span<const Bitstring> messages,
                                                      std::span<const Bitstring> encoded) const {
-    return extend_decode_gaps(messages, encoded, {});
+    std::vector<std::uint32_t> gaps;
+    extend_decode_gaps_into(messages, encoded, {}, gaps);
+    return gaps;
 }
 
-std::vector<std::uint32_t> DistanceCode::extend_decode_gaps(
-    std::span<const Bitstring> messages, std::span<const Bitstring> encoded,
-    std::span<const std::uint32_t> prefix_gaps) const {
+void DistanceCode::extend_decode_gaps_into(std::span<const Bitstring> messages,
+                                           std::span<const Bitstring> encoded,
+                                           std::span<const std::uint32_t> prefix_gaps,
+                                           std::vector<std::uint32_t>& gaps) const {
     require(encoded.size() == messages.size(),
             "DistanceCode::decode_gaps: one encoding per candidate message");
     require(prefix_gaps.size() <= encoded.size(),
-            "DistanceCode::extend_decode_gaps: prefix exceeds the dictionary");
+            "DistanceCode::extend_decode_gaps_into: prefix exceeds the dictionary");
     const std::size_t count = encoded.size();
     const std::size_t prefix = prefix_gaps.size();
     // length_ + 1 exceeds any real distance, so an entry with no distinct
     // neighbor keeps a gap the shortcut can always clear.
-    std::vector<std::uint32_t> gaps(count, static_cast<std::uint32_t>(length_ + 1));
+    gaps.assign(count, static_cast<std::uint32_t>(length_ + 1));
     std::copy(prefix_gaps.begin(), prefix_gaps.end(), gaps.begin());
-    std::vector<bool> conflicted(count, false);
     for (std::size_t i = 0; i < count; ++i) {
         // Prefix-internal pairs are already folded into prefix_gaps.
         for (std::size_t j = std::max(i + 1, prefix); j < count; ++j) {
@@ -117,10 +136,11 @@ std::vector<std::uint32_t> DistanceCode::extend_decode_gaps(
                 static_cast<std::uint32_t>(encoded[i].hamming_distance(encoded[j]));
             if (distance == 0) {
                 // Same encoding: harmless if the messages agree (one tie
-                // class, one output), disqualifying otherwise.
+                // class, one output), disqualifying otherwise. A gap of 0
+                // stays 0 under every later min.
                 if (messages[i] != messages[j]) {
-                    conflicted[i] = true;
-                    conflicted[j] = true;
+                    gaps[i] = 0;
+                    gaps[j] = 0;
                 }
                 continue;
             }
@@ -128,12 +148,6 @@ std::vector<std::uint32_t> DistanceCode::extend_decode_gaps(
             gaps[j] = std::min(gaps[j], distance);
         }
     }
-    for (std::size_t i = 0; i < count; ++i) {
-        if (conflicted[i]) {
-            gaps[i] = 0;
-        }
-    }
-    return gaps;
 }
 
 std::uint32_t DistanceCode::nearest_entry(const Bitstring& received,
@@ -146,7 +160,7 @@ std::uint32_t DistanceCode::nearest_entry(const Bitstring& received,
             "DistanceCode::nearest_entry: received has the wrong length");
     require(!entries.empty(), "DistanceCode::nearest_entry: empty dictionary");
     if (!gaps.empty()) {
-        const std::size_t hint_distance = encoded[hint_entry].hamming_distance(received);
+        const std::size_t hint_distance = entry_distance(received, encoded[hint_entry]);
         if (2 * hint_distance < gaps[hint_entry]) {
             return hint_entry;
         }
@@ -155,10 +169,10 @@ std::uint32_t DistanceCode::nearest_entry(const Bitstring& received,
     // smaller distance wins; an equal distance wins only with a canonically
     // smaller message.
     std::uint32_t best_entry = entries.front();
-    std::size_t best_distance = encoded[best_entry].hamming_distance(received);
+    std::size_t best_distance = entry_distance(received, encoded[best_entry]);
     for (std::size_t i = 1; i < entries.size(); ++i) {
         const std::uint32_t entry = entries[i];
-        const std::size_t distance = encoded[entry].hamming_distance(received);
+        const std::size_t distance = entry_distance(received, encoded[entry]);
         if (distance < best_distance ||
             (distance == best_distance &&
              message_less(messages[entry], messages[best_entry]))) {

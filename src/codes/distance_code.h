@@ -85,16 +85,19 @@ public:
     std::vector<std::uint32_t> decode_gaps(std::span<const Bitstring> messages,
                                            std::span<const Bitstring> encoded) const;
 
-    /// decode_gaps() with the leading block amortized: `prefix_gaps` must be
-    /// decode_gaps() of the first `prefix_gaps.size()` entries taken alone;
-    /// only pairs involving at least one later entry are scanned here,
-    /// O(prefix * suffix + suffix^2) instead of O(|dictionary|^2). The
-    /// codebook uses this to cache the node-payload block — which depends
-    /// only on the messages — across a fixed-messages nonce sweep, paying
-    /// per round only for the decoys. Result is identical to the full scan.
-    std::vector<std::uint32_t> extend_decode_gaps(
-        std::span<const Bitstring> messages, std::span<const Bitstring> encoded,
-        std::span<const std::uint32_t> prefix_gaps) const;
+    /// decode_gaps() with the leading block amortized, written into a
+    /// caller-owned `gaps` (reusing its storage; it must not alias
+    /// `prefix_gaps`): `prefix_gaps` must be decode_gaps() of the first
+    /// `prefix_gaps.size()` entries taken alone; only pairs involving at
+    /// least one later entry are scanned here, O(prefix * suffix + suffix^2)
+    /// instead of O(|dictionary|^2). The codebook uses this to cache the
+    /// node-payload block — which depends only on the messages — across a
+    /// fixed-messages nonce sweep, paying per round only for the decoys.
+    /// Result is identical to the full scan.
+    void extend_decode_gaps_into(std::span<const Bitstring> messages,
+                                 std::span<const Bitstring> encoded,
+                                 std::span<const std::uint32_t> prefix_gaps,
+                                 std::vector<std::uint32_t>& gaps) const;
 
     /// The dictionary entry decode_cached() would report as nearest for
     /// `received` over `entries` (same iteration order, same

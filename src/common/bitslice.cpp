@@ -19,10 +19,14 @@ std::uint64_t next_matrix_epoch() {
 
 }  // namespace
 
-BitsliceMatrix::BitsliceMatrix(std::span<const Bitstring> columns,
-                               std::span<const Bitstring> extra_columns) {
+void BitsliceMatrix::build(std::span<const Bitstring> columns,
+                           std::span<const Bitstring> extra_columns) {
     columns_ = columns.size() + extra_columns.size();
+    weights_.clear();
     if (columns_ == 0) {
+        rows_ = lane_words_ = 0;
+        epoch_ = 0;
+        rows_data_.clear();
         return;
     }
     epoch_ = next_matrix_epoch();

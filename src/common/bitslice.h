@@ -66,7 +66,15 @@ public:
     /// node codewords and decoy codewords into one matrix without first
     /// concatenating them.
     BitsliceMatrix(std::span<const Bitstring> columns,
-                   std::span<const Bitstring> extra_columns = {});
+                   std::span<const Bitstring> extra_columns = {}) {
+        build(columns, extra_columns);
+    }
+
+    /// Re-transpose in place, reusing this matrix's storage: a rebuild no
+    /// larger than the last allocates nothing. The matrix gets a new epoch,
+    /// so no scratch keeps the old bias planes.
+    void build(std::span<const Bitstring> columns,
+               std::span<const Bitstring> extra_columns = {});
 
     std::size_t rows() const noexcept { return rows_; }          ///< transcript length b
     std::size_t columns() const noexcept { return columns_; }    ///< candidate count

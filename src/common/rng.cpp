@@ -66,6 +66,17 @@ bool Rng::bernoulli(double p) {
     return next_double() < p;
 }
 
+std::uint64_t Rng::bernoulli_threshold(double p) {
+    require(p >= 0.0 && p <= 1.0, "Rng::bernoulli_threshold: p must be in [0, 1]");
+    if (p <= 0.0) {
+        return 0;
+    }
+    if (p >= 1.0) {
+        return kBernoulliAlways;
+    }
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
 std::uint64_t Rng::geometric_skip(double p) {
     require(p > 0.0 && p <= 1.0, "Rng::geometric_skip: p must be in (0, 1]");
     if (p >= 1.0) {

@@ -60,6 +60,30 @@ public:
     /// Bernoulli trial with success probability p in [0, 1].
     bool bernoulli(double p);
 
+    /// bernoulli(p) as an integer compare, for loops that draw many trials
+    /// at a few fixed rates: `threshold` is bernoulli_threshold(p), and the
+    /// result and the draws consumed are bernoulli(p)'s.
+    bool bernoulli_below(std::uint64_t threshold) noexcept {
+        if (threshold == 0) {
+            return false;  // p <= 0: no draw
+        }
+        if (threshold == kBernoulliAlways) {
+            return true;  // p >= 1: no draw
+        }
+        return (next_u64() >> 11) < threshold;
+    }
+
+    /// bernoulli_below's threshold for p in [0, 1]: 0 for p <= 0,
+    /// kBernoulliAlways for p >= 1, and ceil(p * 2^53) in between. The
+    /// latter is exact: next_double() is the 53-bit draw times 2^-53, and
+    /// scaling p by 2^53 rounds nothing, so draw * 2^-53 < p exactly when
+    /// draw < ceil(p * 2^53). Precondition: p in [0, 1].
+    static std::uint64_t bernoulli_threshold(double p);
+
+    /// The threshold of a trial that always succeeds without a draw; no
+    /// p < 1 maps to it, since those thresholds are at most 2^53.
+    static constexpr std::uint64_t kBernoulliAlways = UINT64_MAX;
+
     /// Number of failures before the next success in a Bernoulli(p) process,
     /// i.e. a Geometric(p) sample starting at 0. Used for sparse noise
     /// injection: the gap between consecutive flipped bits.

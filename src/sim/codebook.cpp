@@ -199,8 +199,8 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     // The loops keep one kind of data each, so a serial build allocates each
     // array's elements contiguously. Every slot is written in place (the
     // `_into` forms), reusing the storage it already holds: rebuilding a
-    // warm Round allocates nothing, except for the all_nodes bitslice matrix
-    // and decode gaps below.
+    // warm Round allocates nothing (under all_nodes, once the node-payload
+    // gap block below is cached for the messages).
     const std::size_t decoys = params_.decoy_count;
     const std::size_t entry_count = n + 1 + decoys;
 
@@ -269,8 +269,11 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     // decoy rows each round.
     const bool sliced = params_.dictionary == DictionaryPolicy::all_nodes &&
                         n + params_.decoy_count >= params_.bitslice_min_candidates;
-    round.codeword_slices =
-        sliced ? BitsliceMatrix(round.codewords, round.decoy_codewords) : BitsliceMatrix();
+    if (sliced) {
+        round.codeword_slices.build(round.codewords, round.decoy_codewords);
+    } else {
+        round.codeword_slices.build({});
+    }
     // The phase-2 dictionary transposed word-major for the vectorized
     // full-sweep scan, gated with the bitslice matrix: both pay off exactly
     // when every node scans the whole entry space
@@ -316,8 +319,8 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
                 }
             }
         }
-        round.decode_gaps =
-            distance.extend_decode_gaps(all_messages, all_encoded, node_gaps->gaps);
+        distance.extend_decode_gaps_into(all_messages, all_encoded, node_gaps->gaps,
+                                         round.decode_gaps);
     }
 
     // Fault-free phase-2 schedules CD(r_v, payload_v): D(payload_v) is

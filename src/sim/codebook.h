@@ -213,7 +213,7 @@ private:
     /// The node-payload block of the phase-2 decode radii (entries 0..n:
     /// payloads + null) depends only on `messages`, not the nonce, so a
     /// fixed-messages nonce sweep reuses it and each round pays only for
-    /// the decoy rows (DistanceCode::extend_decode_gaps). Kept as a small
+    /// the decoy rows (DistanceCode::extend_decode_gaps_into). Kept as a small
     /// MRU list rather than one slot: concurrent sweep jobs sharing this
     /// codebook differ exactly in their messages, and a single slot would
     /// thrash — re-running the O(n^2) gap computation every round.

@@ -98,6 +98,15 @@ TEST(Bitslice, ScratchReuseAcrossLimitsAndMatrices) {
         expect_matches_scalar(matrix_b, columns_b, transcript, 20, scratch);
         expect_matches_scalar(matrix_a, columns_a, transcript, 21, scratch);
     }
+    // A matrix rebuilt in place is a new matrix to the scratch, even at
+    // the same limit.
+    BitsliceMatrix rebuilt(columns_a);
+    const Bitstring transcript = Bitstring::random(rng, length);
+    expect_matches_scalar(rebuilt, columns_a, transcript, 20, scratch);
+    rebuilt.build(columns_b);
+    expect_matches_scalar(rebuilt, columns_b, transcript, 20, scratch);
+    rebuilt.build({});
+    EXPECT_TRUE(rebuilt.empty());
 }
 
 TEST(Bitslice, EmptyMatrixAcceptsNothing) {

@@ -5,6 +5,7 @@
 // driven with non-i.i.d. channels.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -178,6 +179,58 @@ TEST(ChannelModel, GilbertElliottBurstStatistics) {
     const double burst_fraction =
         static_cast<double>(transcript.count()) / static_cast<double>(length);
     EXPECT_NEAR(burst_fraction, p_enter / (p_enter + p_exit), 0.02);
+}
+
+TEST(ChannelModel, GilbertElliottApplyMatchesFlipNext) {
+    // apply() consumes flip_next's draws a word at a time: the same flips
+    // and the same stream state after, for every rate at 0, 2^-53 (one
+    // 53-bit draw in 2^53 hits), a typical value and 1, and for lengths
+    // around word boundaries up to ge-burst's transcript (13,608 bits).
+    // Transcripts start in the good state. Swapping (enter, exit) and
+    // (good, bad) turns a start in the burst into a start in the good state
+    // with the same draws, so the swapped model covers the burst start.
+    const std::array<double, 4> enter = {0.0, 0x1.0p-53, 0.03, 1.0};
+    const std::array<double, 4> exit = {0.0, 0x1.0p-53, 0.15, 1.0};
+    const std::array<double, 4> good = {0.0, 0x1.0p-53, 0.02, 1.0};
+    const std::array<double, 4> bad = {0.0, 0x1.0p-53, 0.35, 1.0};
+    std::uint64_t seed = 0;
+    for (const double p_enter : enter) {
+        for (const double p_exit : exit) {
+            for (const double eps_good : good) {
+                for (const double eps_bad : bad) {
+                    for (const bool start_in_burst : {false, true}) {
+                        const ChannelModel model =
+                            start_in_burst
+                                ? ChannelModel::gilbert_elliott(p_exit, p_enter, eps_bad,
+                                                                eps_good)
+                                : ChannelModel::gilbert_elliott(p_enter, p_exit, eps_good,
+                                                                eps_bad);
+                        for (const std::size_t length : {1, 63, 64, 65, 129, 13608}) {
+                            SCOPED_TRACE(::testing::Message()
+                                         << model.describe() << " burst start "
+                                         << start_in_burst << " length " << length);
+                            const Rng rng(++seed);
+                            ChannelNoiseSampler word_at_a_time(model, 0, rng);
+                            ChannelNoiseSampler bit_at_a_time(model, 0, rng);
+                            Rng content = rng.derive(1);
+                            Bitstring transcript = Bitstring::random(content, length);
+                            Bitstring expected = transcript;
+                            word_at_a_time.apply(transcript, /*dense=*/true);
+                            for (std::size_t i = 0; i < length; ++i) {
+                                if (bit_at_a_time.flip_next(expected.test(i))) {
+                                    expected.flip(i);
+                                }
+                            }
+                            ASSERT_EQ(transcript, expected);
+                            Rng after_word = word_at_a_time.rng();
+                            Rng after_bit = bit_at_a_time.rng();
+                            ASSERT_EQ(after_word.next_u64(), after_bit.next_u64());
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(ChannelModel, HeterogeneousPerNodeRates) {

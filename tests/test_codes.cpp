@@ -245,7 +245,9 @@ TEST(DistanceCode, ExtendDecodeGapsMatchesFullScan) {
         const std::span<const Bitstring> m(messages);
         const std::span<const Bitstring> e(encoded);
         const auto prefix_gaps = code.decode_gaps(m.first(prefix), e.first(prefix));
-        EXPECT_EQ(code.extend_decode_gaps(m, e, prefix_gaps), full) << "prefix " << prefix;
+        std::vector<std::uint32_t> gaps(3, 7);  // stale contents are overwritten
+        code.extend_decode_gaps_into(m, e, prefix_gaps, gaps);
+        EXPECT_EQ(gaps, full) << "prefix " << prefix;
     }
 }
 

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -271,6 +273,67 @@ TEST(RngSamplerEquivalence, NextBelowMatchesEagerThreshold) {
             }
             EXPECT_EQ(shipped.next_u64(), reference.next_u64());
         }
+    }
+}
+
+/// Rates at the edges of double precision: the smallest subnormal and
+/// normal, both sides of 2^-53 (the least rate a 53-bit draw can resolve),
+/// 2^-52, typical rates, both sides of 1/2, and the largest doubles below 1.
+std::vector<double> edge_rates() {
+    const double below_one = std::nextafter(1.0, 0.0);
+    return {std::numeric_limits<double>::denorm_min(),
+            std::numeric_limits<double>::min(),
+            std::nextafter(0x1.0p-53, 0.0),
+            0x1.0p-53,
+            std::nextafter(0x1.0p-53, 1.0),
+            0x1.0p-52,
+            0.02,
+            0.1,
+            1.0 / 3.0,
+            std::nextafter(0.5, 0.0),
+            0.5,
+            std::nextafter(0.5, 1.0),
+            std::nextafter(below_one, 0.0),
+            below_one};
+}
+
+TEST(RngSamplerEquivalence, BernoulliThresholdMatchesNextDouble) {
+    // bernoulli(p) tests next_double() < p, and next_double() is the 53-bit
+    // draw times 2^-53. The threshold t must split the draws exactly there:
+    // t - 1 passes, t and t + 1 do not.
+    for (const double p : edge_rates()) {
+        SCOPED_TRACE(::testing::Message() << "p=" << std::hexfloat << p);
+        const std::uint64_t t = Rng::bernoulli_threshold(p);
+        ASSERT_GE(t, 1u);
+        ASSERT_LE(t, std::uint64_t{1} << 53);
+        for (const std::uint64_t draw : {t - 1, t, t + 1}) {
+            if (draw >= (std::uint64_t{1} << 53)) {
+                continue;  // not a 53-bit draw
+            }
+            const double as_double = static_cast<double>(draw) * 0x1.0p-53;
+            EXPECT_EQ(as_double < p, draw < t) << "draw=" << draw;
+        }
+    }
+    EXPECT_EQ(Rng::bernoulli_threshold(0.0), 0u);
+    EXPECT_EQ(Rng::bernoulli_threshold(1.0), Rng::kBernoulliAlways);
+    EXPECT_THROW(Rng::bernoulli_threshold(-0.1), precondition_error);
+    EXPECT_THROW(Rng::bernoulli_threshold(1.1), precondition_error);
+}
+
+TEST(RngSamplerEquivalence, BernoulliBelowMatchesBernoulli) {
+    // The same outcomes and the same draws, p = 0 and p = 1 drawing none.
+    std::vector<double> rates = edge_rates();
+    rates.push_back(0.0);
+    rates.push_back(1.0);
+    for (const double p : rates) {
+        SCOPED_TRACE(::testing::Message() << "p=" << std::hexfloat << p);
+        const std::uint64_t t = Rng::bernoulli_threshold(p);
+        Rng shipped(7);
+        Rng reference(7);
+        for (int i = 0; i < 2000; ++i) {
+            ASSERT_EQ(shipped.bernoulli_below(t), reference.bernoulli(p));
+        }
+        EXPECT_EQ(shipped.next_u64(), reference.next_u64());
     }
 }
 

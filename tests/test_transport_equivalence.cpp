@@ -414,9 +414,9 @@ TEST(CodebookRoundBuild, FreshNonceRebuildAllocatesNothing) {
     // build_round's in-place contract on the path real workloads take:
     // every round has a new nonce and new message contents, so the Round is
     // rebuilt, never kept. Once warm, a rebuild reuses every slot's storage
-    // and allocates nothing, for a whole-graph two_hop codebook and for a
-    // shard view, at one worker and at four (where the worker that writes
-    // each slot changes from build to build).
+    // and allocates nothing, for a whole-graph two_hop codebook, for a shard
+    // view and for a sliced all_nodes codebook, at one worker and at four
+    // (where the worker that writes each slot changes from build to build).
     Rng rng(0x66);
     const Graph graph = make_random_regular(96, 6, rng);
     const Graph ring = make_ring(240);
@@ -458,6 +458,27 @@ TEST(CodebookRoundBuild, FreshNonceRebuildAllocatesNothing) {
             EXPECT_EQ(alloc_hooks::count() - before, 0u) << "a warm rebuild allocated";
             expect_equal_round_fields(round, *book->round(per_round.back(), 105));
         }
+
+        // all_nodes with the bitslice matrix and the decode gaps: a fixed
+        // message set, so the node-payload gap block is cached after the
+        // first build and each rebuild recomputes only the nonce-keyed rest.
+        SCOPED_TRACE(::testing::Message() << "all_nodes threads=" << threads);
+        SimulationParams sliced = noisy_params(DictionaryPolicy::all_nodes);
+        sliced.decoy_count = 4;
+        sliced.bitslice_min_candidates = 64;
+        const Codebook all_nodes(graph, sliced);
+        const auto messages = make_messages(graph, sliced.message_bits, 40);
+        Codebook::Round round;
+        all_nodes.build_round(round, messages, 100, &pool);
+        all_nodes.build_round(round, messages, 101, &pool);
+        ASSERT_FALSE(round.codeword_slices.empty());
+        ASSERT_FALSE(round.decode_gaps.empty());
+        const std::uint64_t before = alloc_hooks::count();
+        for (std::uint64_t nonce = 102; nonce < 106; ++nonce) {
+            all_nodes.build_round(round, messages, nonce, &pool);
+        }
+        EXPECT_EQ(alloc_hooks::count() - before, 0u) << "a warm all_nodes rebuild allocated";
+        expect_equal_round_fields(round, *all_nodes.round(messages, 105));
     }
 }
 
