@@ -11,7 +11,8 @@
 //   nb_run --list             list shipped scenario names and exit
 //   nb_run --json PATH        write the JSON artifact to PATH
 //                             (default BENCH_scenarios.json, or
-//                             BENCH_sweep.json with --sweep)
+//                             BENCH_sweep.json with --sweep); a PATH
+//                             equal to a scenario name is a usage error
 //   nb_run --sweep            run the scenarios (all shipped, or the named
 //                             ones) as a parallel sweep, crossed with the
 //                             --seeds / --eps axes, and write the
@@ -303,6 +304,13 @@ int run_main(int argc, char** argv) {
         } else {
             names.push_back(arg);
         }
+    }
+    if (scenarios::find_scenario(json_path) != nullptr) {
+        // `nb_run --json ge-burst` reads as "JSON for ge-burst" but would run
+        // every shipped scenario into a file named ge-burst.
+        std::cerr << "error: --json takes an output path, and '" << json_path
+                  << "' names a scenario; to run it, use nb_run NAME --json out.json\n";
+        return 2;
     }
     if (json_path.empty()) {
         json_path = sweep_mode ? "BENCH_sweep.json" : "BENCH_scenarios.json";

@@ -10,7 +10,11 @@
 //                                 beyond it submits are shed immediately
 //                                 with rejected:overloaded (default 16)
 //   nb_serve --executors N        concurrent job executors (default 2)
-//   nb_serve --job-workers N      sweep workers inside each job (default 1)
+//   nb_serve --job-workers N      sweep workers inside each job (default 1);
+//                                 each sweep job runs on max(1, cores /
+//                                 (executors x job workers)) transport
+//                                 threads, cores being the CPUs the process
+//                                 may run on
 //   nb_serve --deadline SECONDS   default per-job deadline (default 60)
 //   nb_serve --max-deadline S     cap on client-requested deadlines (600)
 //   nb_serve --max-retries N      server-side retries for transient job
@@ -122,8 +126,10 @@ int run_main(int argc, char** argv) {
         std::cout << "nb_serve: failpoints armed: " << active_failpoints << '\n';
     }
     std::cout << "nb_serve: listening on " << config.socket_path << " (store "
-              << config.store_dir << ", queue " << config.queue_capacity << ", "
-              << config.executors << " executors)\n"
+              << config.store_dir << ", queue " << config.queue_capacity << ")\n"
+              << "nb_serve: " << server.cores() << " cores split as " << config.executors
+              << " executors x " << config.job_workers << " job workers x "
+              << server.threads_per_job() << " threads per job\n"
               << std::flush;
 
     int signal_number = 0;

@@ -37,7 +37,7 @@ struct TdmaParams {
     std::size_t message_bits = 16; ///< algorithm message budget B
     std::size_t repetitions = 1;   ///< per-bit repetitions (majority decode)
     std::uint64_t transport_seed = 0x74646d61u;
-    std::size_t threads = 0;       ///< decode workers (0 = hardware concurrency)
+    std::size_t threads = 0;       ///< decode workers (0 = every available core)
 
     /// Physical channel process; nullopt = iid(epsilon), exactly as before.
     /// Like SimulationParams, a non-iid model leaves `epsilon` as the design

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -167,12 +169,21 @@ struct ThreadPool::Impl {
     bool stopping = false;
 };
 
-std::size_t ThreadPool::resolve_worker_count(std::size_t requested) noexcept {
-    if (requested != 0) {
-        return requested;
+std::size_t ThreadPool::available_cores() noexcept {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        const int allowed = CPU_COUNT(&mask);
+        if (allowed > 0) {
+            return static_cast<std::size_t>(allowed);
+        }
     }
     const unsigned hardware = std::thread::hardware_concurrency();
     return hardware == 0 ? 1 : hardware;
+}
+
+std::size_t ThreadPool::resolve_worker_count(std::size_t requested) noexcept {
+    return requested != 0 ? requested : available_cores();
 }
 
 std::size_t ThreadPool::worker_count_for(std::size_t requested, std::size_t items) noexcept {

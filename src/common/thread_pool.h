@@ -24,7 +24,7 @@ namespace nb {
 
 class ThreadPool {
 public:
-    /// A pool with `worker_count` workers; 0 means hardware concurrency.
+    /// A pool with `worker_count` workers; 0 means available_cores().
     /// With one worker no threads are spawned and all work runs inline.
     explicit ThreadPool(std::size_t worker_count = 0);
 
@@ -59,8 +59,14 @@ public:
                       const std::function<void(std::size_t, std::size_t)>& fn,
                       const CancelToken* token);
 
+    /// The number of CPUs the calling thread may run on: the count of its
+    /// sched_getaffinity mask, or hardware concurrency if that call fails
+    /// (at least 1). So a process started under `taskset -c 0,1` sizes its
+    /// pools to 2, not to the host.
+    static std::size_t available_cores() noexcept;
+
     /// The worker count `requested` resolves to: itself if nonzero, else
-    /// hardware concurrency (at least 1).
+    /// available_cores().
     static std::size_t resolve_worker_count(std::size_t requested) noexcept;
 
     /// resolve_worker_count(requested) capped at max(1, items): the sizing

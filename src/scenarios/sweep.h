@@ -25,9 +25,12 @@
 // jobs can be journaled (one fsync'd JSONL record each; scenarios/journal.h)
 // and replayed by a resumed sweep, with the same byte-identity guarantee.
 //
-// Jobs run with threads_per_job transport workers (default 1): sweep
-// parallelism comes from running jobs concurrently, not from nesting pools
-// inside pools. Concurrent jobs that agree on codebook build parameters
+// Each job's transport runs on threads_per_job workers. Sweeps keep the
+// default of 1: their parallelism comes from running jobs concurrently.
+// nb_serve, whose executors run one sweep each, instead gives every job its
+// executor's share of the cores (serve::job_thread_share), so a sweep worker
+// may drive a transport pool of its own; the outputs are the same at any
+// split. Concurrent jobs that agree on codebook build parameters
 // share one build through the process-wide CodebookCache; run_sweep reports
 // the measured cache-counter delta so benches and tests can pin "strictly
 // fewer builds than jobs", and computes the *analytic* cold-start counters
@@ -104,8 +107,8 @@ struct SweepSpec {
 };
 
 struct SweepOptions {
-    std::size_t workers = 0;          ///< sweep workers (0 = hardware concurrency)
-    std::size_t threads_per_job = 1;  ///< transport threads inside each job
+    std::size_t workers = 0;          ///< sweep workers (0 = every available core)
+    std::size_t threads_per_job = 1;  ///< transport threads inside each job (0 = every core)
 
     /// Watchdog deadline per job attempt, in seconds (0 = none). Enforced
     /// cooperatively: the job's CancelToken passes its deadline and the next

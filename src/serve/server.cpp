@@ -13,6 +13,7 @@
 #include "common/error.h"
 #include "common/failpoint.h"
 #include "common/json.h"
+#include "common/thread_pool.h"
 #include "scenarios/spec_json.h"
 #include "scenarios/sweep.h"
 #include "serve/wire.h"
@@ -95,11 +96,20 @@ struct Server::Job {
     }
 };
 
+std::size_t job_thread_share(std::size_t cores, std::size_t executors,
+                             std::size_t job_workers) noexcept {
+    cores = std::max<std::size_t>(1, cores);
+    const std::size_t sweep_workers = job_workers == 0 ? cores : job_workers;
+    return std::max<std::size_t>(1, cores / (std::max<std::size_t>(1, executors) * sweep_workers));
+}
+
 Server::Server(ServerConfig config) : config_(std::move(config)) {
     require(!config_.socket_path.empty(), "serve: socket_path is required");
     require(!config_.store_dir.empty(), "serve: store_dir is required");
     config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
     config_.executors = std::max<std::size_t>(1, config_.executors);
+    cores_ = ThreadPool::available_cores();
+    threads_per_job_ = job_thread_share(cores_, config_.executors, config_.job_workers);
 }
 
 Server::~Server() {
@@ -396,6 +406,10 @@ std::string Server::handle_request(const std::string& line) {
             json.kv("load", static_cast<std::uint64_t>(load()));
             json.kv("queue_capacity", static_cast<std::uint64_t>(config_.queue_capacity));
             json.kv("draining", draining_.load());
+            json.kv("cores", static_cast<std::uint64_t>(cores_));
+            json.kv("executors", static_cast<std::uint64_t>(config_.executors));
+            json.kv("job_workers", static_cast<std::uint64_t>(config_.job_workers));
+            json.kv("threads_per_job", static_cast<std::uint64_t>(threads_per_job_));
             json.end_object();
             json.end_object();
             return out.str();
@@ -521,6 +535,7 @@ std::string Server::run_job_attempts(Job& job) {
             SweepSpec spec = sweep_spec_from_value(job.spec, "submit.spec");
             SweepOptions options;
             options.workers = config_.job_workers;
+            options.threads_per_job = threads_per_job_;
             options.cancel = &job.token;
             const SweepResult result = run_sweep(spec, options);
 

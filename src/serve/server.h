@@ -64,7 +64,9 @@ struct ServerConfig {
     /// Concurrent job executors (each runs one sweep at a time).
     std::size_t executors = 2;
 
-    /// Sweep workers inside each job (SweepOptions::workers).
+    /// Sweep workers inside each job (SweepOptions::workers; 0 = every
+    /// available core). Each sweep job's transport gets the cores left per
+    /// sweep worker: see job_thread_share.
     std::size_t job_workers = 1;
 
     /// Deadline applied when a submit names none / the cap on what it may
@@ -100,6 +102,16 @@ struct ServerCounters {
     std::uint64_t drain_cancelled = 0;   ///< jobs hard-cancelled by the drain deadline
 };
 
+/// Transport threads per sweep job on a server whose `executors` each run
+/// `job_workers` sweep workers, over `cores` CPUs: max(1, cores /
+/// (executors × job_workers)), with job_workers 0 counted as `cores` (it
+/// means "every available core" to run_sweep). Concurrent jobs then never
+/// ask for more threads than cores unless the executors and sweep workers
+/// alone already do. Outputs are the same at any value: transports are
+/// bit-identical at every thread count.
+std::size_t job_thread_share(std::size_t cores, std::size_t executors,
+                             std::size_t job_workers) noexcept;
+
 class Server {
 public:
     explicit Server(ServerConfig config);
@@ -128,6 +140,13 @@ public:
 
     const ServerConfig& config() const noexcept { return config_; }
 
+    /// ThreadPool::available_cores() when the server was constructed.
+    std::size_t cores() const noexcept { return cores_; }
+
+    /// SweepOptions::threads_per_job for every job: job_thread_share(cores(),
+    /// executors, job_workers), fixed for the server's lifetime.
+    std::size_t threads_per_job() const noexcept { return threads_per_job_; }
+
 private:
     struct Job;
     struct Connection;
@@ -141,6 +160,8 @@ private:
     std::string run_job_attempts(Job& job);
 
     ServerConfig config_;
+    std::size_t cores_ = 1;
+    std::size_t threads_per_job_ = 1;
     std::unique_ptr<ArtifactStore> store_;
 
     int listen_fd_ = -1;

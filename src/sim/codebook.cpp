@@ -1,7 +1,6 @@
 #include "sim/codebook.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -347,13 +346,12 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
 }
 
 std::size_t Codebook::node_gap_capacity() {
-    // 2x hardware concurrency covers moderate worker oversubscription (the
+    // 2x the available cores covers moderate worker oversubscription (the
     // sweep worker count is user-set, not capped at the core count); the
     // floor of 64 makes even heavy oversubscription cheap, since an entry
     // is a few KB while a thrashed recompute is O(n^2) distance decodes
     // per round.
-    const std::size_t hardware = std::thread::hardware_concurrency();
-    return std::max<std::size_t>(64, 2 * hardware);
+    return std::max<std::size_t>(64, 2 * ThreadPool::available_cores());
 }
 
 std::uint64_t Codebook::fingerprint() const {

@@ -69,7 +69,7 @@ struct SimulationParams {
     DictionaryPolicy dictionary = DictionaryPolicy::two_hop;
 
     /// Worker threads for the per-node decode loop in simulate_round
-    /// (0 = hardware concurrency). Outputs are bit-identical for every
+    /// (0 = every available core). Outputs are bit-identical for every
     /// thread count; this only trades wall-clock for cores.
     std::size_t threads = 0;
 

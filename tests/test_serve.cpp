@@ -2,14 +2,16 @@
 // with byte-identical stored artifacts, typed load-shedding at the admission
 // bound, per-job deadlines through the CancelToken chain, transient-fault
 // retry at the server boundary, store faults mid-job, graceful drain (finish
-// in-flight, reject new, hard-cancel stragglers), and the wire-level error
-// contract for malformed requests. The server runs in-process; clients talk
+// in-flight, reject new, hard-cancel stragglers), the wire-level error
+// contract for malformed requests, and the split of the cores among
+// executors, with multi-threaded jobs byte-identical to serial runs. The server runs in-process; clients talk
 // to it over its real unix socket.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -18,10 +20,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/json.h"
+#include "common/thread_pool.h"
+#include "scenarios/registry.h"
 #include "scenarios/spec_json.h"
 #include "scenarios/sweep.h"
 #include "serve/client.h"
@@ -56,6 +61,84 @@ std::string tiny_spec(std::uint64_t seed = 3, std::size_t rounds = 2) {
 
 std::string submit_line(const std::string& spec, const std::string& extra_fields = "") {
     return "{\"op\":\"submit\"" + extra_fields + ",\"spec\":" + spec + "}";
+}
+
+/// `spec` as a one-scenario nb-spec/v1 document with every field the parser
+/// reads, so the server runs exactly this spec.
+std::string scenario_document(const ScenarioSpec& spec) {
+    using U = std::uint64_t;
+    std::ostringstream out;
+    JsonWriter json(out, /*indent=*/0);
+    json.begin_object();
+    json.kv("schema", "nb-spec/v1");
+    json.kv("sweep", "serve-test");
+    json.key("scenarios").begin_array().begin_object();
+    json.kv("name", spec.name);
+    json.kv("description", spec.description);
+    json.kv("transport", spec.transport == TransportKind::beep ? "beep" : "tdma");
+    json.kv("rounds", static_cast<U>(spec.rounds));
+    json.kv("decoder_epsilon", spec.decoder_epsilon);
+    json.kv("c_eps", static_cast<U>(spec.c_eps));
+    json.kv("dictionary", spec.dictionary == DictionaryPolicy::two_hop ? "two_hop" : "all_nodes");
+    json.kv("decoy_count", static_cast<U>(spec.decoy_count));
+    json.kv("shards", static_cast<U>(spec.shards));
+    json.kv("bitslice_min_candidates", static_cast<U>(spec.bitslice_min_candidates));
+    json.kv("tdma_repetitions", static_cast<U>(spec.tdma_repetitions));
+
+    const TopologySpec& t = spec.topology;
+    json.key("topology").begin_object();
+    json.kv("family", t.family_name());
+    json.kv("n", static_cast<U>(t.n));
+    json.kv("degree", static_cast<U>(t.degree));
+    json.kv("edge_probability", t.edge_probability);
+    json.kv("radius", t.radius);
+    json.kv("rows", static_cast<U>(t.rows));
+    json.kv("cols", static_cast<U>(t.cols));
+    json.kv("seed", static_cast<U>(t.seed));
+    json.end_object();
+
+    const ChannelModel& c = spec.channel;
+    const char* kinds[] = {"iid", "gilbert_elliott", "heterogeneous", "adversarial_budget"};
+    json.key("channel").begin_object();
+    json.kv("kind", kinds[static_cast<std::size_t>(c.kind)]);
+    json.kv("epsilon", c.epsilon);
+    json.kv("noise_on_own_beep", c.noise_on_own_beep);
+    json.kv("p_enter_burst", c.ge_p_enter_burst);
+    json.kv("p_exit_burst", c.ge_p_exit_burst);
+    json.kv("epsilon_good", c.ge_epsilon_good);
+    json.kv("epsilon_bad", c.ge_epsilon_bad);
+    json.kv("epsilon_min", c.het_epsilon_min);
+    json.kv("epsilon_max", c.het_epsilon_max);
+    json.kv("seed", static_cast<U>(c.het_seed));
+    json.kv("budget", static_cast<U>(c.adv_budget));
+    json.end_object();
+
+    json.key("workload").begin_object();
+    json.kv("message_bits", static_cast<U>(spec.workload.message_bits));
+    json.kv("silent_fraction", spec.workload.silent_fraction);
+    json.kv("seed", static_cast<U>(spec.workload.seed));
+    json.end_object();
+
+    json.key("faults").begin_array();
+    for (const auto& window : spec.faults) {
+        json.begin_object();
+        json.kv("first_round", static_cast<U>(window.first_round));
+        json.kv("last_round", static_cast<U>(window.last_round));
+        for (const auto& [key, nodes] : {std::pair{"jammers", &window.faults.jammers},
+                                         std::pair{"crashed", &window.faults.crashed}}) {
+            json.key(key).begin_array();
+            for (const NodeId v : *nodes) {
+                json.value(static_cast<U>(v));
+            }
+            json.end_array();
+        }
+        json.end_object();
+    }
+    json.end_array();
+
+    json.end_object().end_array();
+    json.end_object();
+    return out.str();
 }
 
 class ServeTest : public ::testing::Test {
@@ -538,6 +621,56 @@ TEST_F(ServeTest, StatsReportConsistentCacheSnapshotAndServerCounters) {
     EXPECT_EQ(member(server, "submitted").as_uint64(), 2u);
     EXPECT_EQ(member(server, "queue_capacity").as_uint64(), 16u);
     EXPECT_FALSE(member(server, "draining").as_bool());
+
+    // The core split the executors run their jobs with.
+    const serve::ServerConfig defaults;
+    const std::size_t cores = ThreadPool::available_cores();
+    EXPECT_EQ(member(server, "cores").as_uint64(), cores);
+    EXPECT_EQ(member(server, "executors").as_uint64(), defaults.executors);
+    EXPECT_EQ(member(server, "job_workers").as_uint64(), defaults.job_workers);
+    EXPECT_EQ(member(server, "threads_per_job").as_uint64(),
+              std::max<std::size_t>(1, cores / (defaults.executors * defaults.job_workers)));
+}
+
+TEST(ServeThreadSplit, DividesTheCoresAmongExecutorsAndJobWorkers) {
+    EXPECT_EQ(serve::job_thread_share(4, 2, 1), 2u);
+    EXPECT_EQ(serve::job_thread_share(4, 8, 1), 1u);
+    EXPECT_EQ(serve::job_thread_share(4, 1, 2), 2u);
+    EXPECT_EQ(serve::job_thread_share(1, 1, 1), 1u);
+    EXPECT_EQ(serve::job_thread_share(4, 1, 0), 1u);  // job_workers 0 = every core
+    EXPECT_EQ(serve::job_thread_share(6, 1, 4), 1u);  // rounds down, never to 0
+}
+
+TEST_F(ServeTest, MultiThreadedJobsMatchSingleThreadArtifacts) {
+    // One executor: on a host with >= 2 cores every job's transport runs on
+    // >= 2 threads, and its artifact must equal a serial local run's bytes.
+    serve::ServerConfig config;
+    config.executors = 1;
+    serve::Server& server = start(config);
+    EXPECT_EQ(server.threads_per_job(), ThreadPool::available_cores());
+    serve::Client client = connect();
+
+    for (const char* name : {"ge-burst", "het-pernode", "e5-delta8-tdma", "faults-midrun"}) {
+        SCOPED_TRACE(name);
+        const ScenarioSpec* scenario = scenarios::find_scenario(name);
+        ASSERT_NE(scenario, nullptr);
+        const std::string document = scenario_document(*scenario);
+        const SweepSpec spec = sweep_spec_from_json(document, "test");
+        ASSERT_EQ(scenario_spec_fingerprint(spec.bases.at(0)),
+                  scenario_spec_fingerprint(*scenario));
+
+        const auto response = client.request(submit_line(document));
+        ASSERT_TRUE(response.has_value());
+        ASSERT_TRUE(member(*response, "ok").as_bool());
+
+        SweepOptions serial;
+        serial.workers = 1;
+        serial.threads_per_job = 1;
+        std::ostringstream expected;
+        JsonWriter json(expected);
+        sweep_results_json(json, run_sweep(spec, serial));
+        EXPECT_EQ(member(*response, "artifact").as_string(), expected.str());
+    }
 }
 
 TEST_F(ServeTest, AcceptFailpointDropsTheConnectionBeforeAnyRead) {

@@ -1,8 +1,8 @@
 // Determinism and contract tests for the sweep engine (scenarios/sweep.h):
 // expansion order and axis semantics, byte-identical nb-sweep/v1 JSON across
 // worker counts (including the shipped 8-specs x 3-seeds acceptance sweep),
-// and the codebook-sharing acceptance pin (strictly fewer builds than
-// scenario jobs).
+// the codebook-sharing acceptance pin (strictly fewer builds than scenario
+// jobs), and byte-identity with sweep workers and transport pools nested.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -185,6 +185,34 @@ TEST(SweepAcceptance, ShippedSweepByteIdenticalAndSharesCodebookBuilds) {
             reference = json;
         } else {
             EXPECT_EQ(json, reference) << "workers=" << workers;
+        }
+    }
+}
+
+TEST(SweepNestedPools, ScenarioSubsetByteIdentical) {
+    // Sweep workers that each drive a multi-threaded transport pool — the
+    // shape nb_serve runs with job_workers > 1 — over the GE, heterogeneous,
+    // TDMA and fault paths: the bytes must match a fully serial run.
+    SweepSpec sweep;
+    sweep.name = "nested-pools";
+    for (const char* name : {"ge-burst", "het-pernode", "e5-delta8-tdma", "faults-midrun"}) {
+        const ScenarioSpec* spec = scenarios::find_scenario(name);
+        ASSERT_NE(spec, nullptr) << name;
+        sweep.bases.push_back(*spec);
+    }
+
+    std::string reference;
+    for (const std::size_t parallel : {1u, 2u}) {
+        SweepOptions options;
+        options.workers = parallel;
+        options.threads_per_job = parallel;
+        const SweepResult result = run_sweep(sweep, options);
+        EXPECT_EQ(result.failed_jobs, 0u);
+        const std::string json = sweep_json(result);
+        if (reference.empty()) {
+            reference = json;
+        } else {
+            EXPECT_EQ(json, reference);
         }
     }
 }

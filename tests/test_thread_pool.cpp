@@ -1,10 +1,12 @@
 // ThreadPool stress tests for the sweep-scheduler usage patterns: nested
 // submits from worker threads, exception propagation out of a job (and the
 // pool's reusability afterwards), and shutdown while external callers have
-// jobs queued behind run_mutex. The CI ASan+UBSan job runs these under the
-// sanitizers; explicit ctest timeouts turn a deadlocked scheduler into a
-// fast failure instead of a hung workflow.
+// jobs queued behind run_mutex; plus the core count pools default to. The
+// CI ASan+UBSan job runs these under the sanitizers; explicit ctest timeouts
+// turn a deadlocked scheduler into a fast failure instead of a hung workflow.
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -214,6 +216,30 @@ TEST(ThreadPoolStress, SingleWorkerPoolRunsEverythingInline) {
         pool.parallel_for(4, [&](std::size_t, std::size_t) { ++count; });
     });
     EXPECT_EQ(count, 128u);
+}
+
+TEST(ThreadPoolCores, AvailableCoresFollowsTheThreadAffinityMask) {
+    // Narrows only this test thread's own mask, then restores it.
+    cpu_set_t original;
+    CPU_ZERO(&original);
+    ASSERT_EQ(::sched_getaffinity(0, sizeof original, &original), 0);
+    EXPECT_EQ(ThreadPool::available_cores(), static_cast<std::size_t>(CPU_COUNT(&original)));
+
+    int first = 0;
+    while (!CPU_ISSET(first, &original)) {
+        ++first;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+    const std::size_t narrowed = ThreadPool::available_cores();
+    const std::size_t resolved = ThreadPool::resolve_worker_count(0);
+    ASSERT_EQ(::sched_setaffinity(0, sizeof original, &original), 0);
+
+    EXPECT_EQ(narrowed, 1u);
+    EXPECT_EQ(resolved, 1u);
+    EXPECT_EQ(ThreadPool::resolve_worker_count(3), 3u);
 }
 
 }  // namespace
