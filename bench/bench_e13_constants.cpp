@@ -47,6 +47,7 @@ int main() {
     };
     std::map<std::size_t, std::pair<double, std::size_t>> previous;  // Delta -> (eps, frontier)
     std::vector<std::string> failures;
+    TransportBatch batch;  // one batch for every round of every row
     for (const double eps : {0.0, 0.1, 0.2, 0.3, 0.4}) {
         for (const std::size_t d : {4u, 8u}) {
             const Graph g = bench::regular_graph(n, d, 0xe13 + d);
@@ -66,7 +67,9 @@ int main() {
                 const BeepTransport transport(g, params);
                 std::size_t perfect = 0;
                 for (std::uint64_t nonce = 0; nonce < rounds; ++nonce) {
-                    perfect += transport.simulate_round(messages, nonce).perfect ? 1 : 0;
+                    const RoundSpec spec{&messages, nonce, nullptr};
+                    transport.simulate_rounds_into({&spec, 1}, batch);
+                    perfect += batch.stats(0).perfect ? 1 : 0;
                 }
                 row.push_back(Table::num(static_cast<double>(perfect) /
                                              static_cast<double>(rounds),

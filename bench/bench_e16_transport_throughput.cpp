@@ -14,25 +14,38 @@
 // measured 27.6 rounds/s at n=256 and 2.28 at n=1024 on this workload;
 // PR 2's batched path reached 92 and 10.9.
 //
-// Each rate is the median of kRepetitions timed repetitions, single and
-// batched interleaved within one process, so a host stall or a
-// minutes-long swing in the shared machine's speed moves both paths alike
-// instead of deciding the batched-vs-single comparison.
+// Each rate is the median of kRepetitions timed repetitions. Within a
+// repetition every kernel runs the single and the batched path back to
+// back, so a host stall or a minutes-long swing in the shared machine's
+// speed moves every row alike instead of deciding a comparison.
 //
-// The steady-state allocation column counts operator-new calls (see
-// alloc_hooks.h) during a warm simulate_rounds_into batch that repeats one
-// (messages, nonce), so the batch keeps its round — the zero-copy arena
-// contract says it is exactly 0 at every worker count. The transports run
-// on the default pool (one worker per hardware thread); the JSON records
-// both counts, since a baseline recorded at one core count exercises a
-// different schedule than another.
+// The VERDICT is computed from the measured rows and makes two claims:
 //
-// The VERDICT is computed from the measured rows: each of its three claims
-// (batched beats single, vector kernels beat scalar, zero steady-state
-// allocations) is printed as holding or failing, with the rows that break it.
+//   * Zero steady-state allocations: a warm reused batch simulating fresh
+//     nonces — the real workload, each round rebuilt in place — performs no
+//     operator-new call (alloc_hooks.h), at the default pool of one worker
+//     per hardware thread. This is what batching guarantees. The single path
+//     builds a fresh batch per call; its allocations per round are printed
+//     beside it. The batched/single rate column is not a claim: under
+//     all_nodes a fresh batch also recomputes the O(n^2) node-payload decode
+//     gaps a reused batch keeps (Codebook::Round::node_gaps), so that ratio
+//     measures the rebuild, not batching.
+//   * Vector kernels beat scalar at n=1024 only, where E14's kernel costs
+//     predict a gap larger than the run spread. E14's kernel benches use the
+//     n=1024 decode shape; on a 4-vCPU AVX-512 host (GCC 12, Release) a
+//     node's bitslice pass took 40.4 us scalar, 23.6 avx2, 15.4 avx512, and
+//     each of its ~8 phase-2 gathers 0.33 / 0.14 / 0.15 us. Against ~140 us
+//     of CPU per node in a scalar round (4 workers, ~30 rounds/s), those two
+//     kernels alone predict >= 13% (avx2) and >= 19% (avx512); five
+//     interleaved runs measured 1.20-1.36x and 1.53-1.71x, a +-8% spread.
+//     At n=256 the pass scans 288 candidates — 5 lane words, fewer than one
+//     AVX-512 register's 8 — so the 17-lane speedups E14 measures do not
+//     carry over, and the same five runs put avx2 at 1.03-1.24x scalar:
+//     within spread, so those rows are printed, not checked.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -56,6 +69,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 constexpr std::size_t kRepetitions = 5;
 
+/// The size at which the kernel claim is checked (see the header comment).
+constexpr std::size_t kKernelClaimN = 1024;
+
 double median(std::vector<double> values) {
     std::sort(values.begin(), values.end());
     return values[values.size() / 2];
@@ -68,21 +84,21 @@ struct Measurement {
     simd::Kernel resolved = simd::Kernel::scalar;   ///< what actually ran
     double single_rounds_per_s = 0.0;
     double batched_rounds_per_s = 0.0;
-    std::uint64_t steady_allocs = 0;  ///< operator-new calls in the warm batch
+    std::uint64_t single_allocs = 0;  ///< operator-new calls in one simulate_round
+    std::uint64_t steady_allocs = 0;  ///< operator-new calls in a warm fresh-nonce batch
     std::size_t arena_words = 0;      ///< result-ring high-water mark
 };
 
-/// `rounds` simulated rounds per path in each of kRepetitions repetitions.
-Measurement measure(std::size_t n, std::size_t degree, std::size_t rounds,
-                    simd::Kernel kernel) {
+/// Every kernel at one size: `rounds` simulated rounds per path and kernel
+/// in each of kRepetitions repetitions, all kernels interleaved.
+std::vector<Measurement> measure(std::size_t n, std::size_t degree, std::size_t rounds,
+                                 const std::vector<simd::Kernel>& kernels) {
     const Graph g = bench::regular_graph(n, degree, 0xe16 + n);
     SimulationParams params;
     params.epsilon = 0.1;
     params.message_bits = ceil_log2(n);
     params.c_eps = 4;
     params.dictionary = DictionaryPolicy::all_nodes;
-    params.simd_kernel = kernel;
-    const BeepTransport transport(g, params);
 
     Rng message_rng(7);
     std::vector<std::optional<Bitstring>> messages(n);
@@ -90,46 +106,61 @@ Measurement measure(std::size_t n, std::size_t degree, std::size_t rounds,
         messages[v] = Bitstring::random(message_rng, params.message_bits);
     }
 
-    Measurement m;
-    m.n = n;
-    m.delta = g.max_degree();
-    m.kernel = kernel;
-    m.resolved = simd::resolve_kernel(kernel);
+    std::vector<std::unique_ptr<BeepTransport>> transports;
+    std::vector<Measurement> rows;
+    for (const auto kernel : kernels) {
+        params.simd_kernel = kernel;
+        transports.push_back(std::make_unique<BeepTransport>(g, params));
+        transports.back()->simulate_round(messages, 0);  // warm caches and workspaces
+        Measurement& m = rows.emplace_back();
+        m.n = n;
+        m.delta = g.max_degree();
+        m.kernel = kernel;
+        m.resolved = simd::resolve_kernel(kernel);
+    }
 
-    transport.simulate_round(messages, 0);  // warm caches and workspaces
-
-    // Both paths simulate the same fresh-nonce rounds in each repetition.
-    TransportBatch batch;
+    // Every path and kernel simulates the same fresh-nonce rounds in each
+    // repetition.
+    std::vector<TransportBatch> batches(kernels.size());
     std::vector<RoundSpec> specs(rounds, RoundSpec{&messages, 0, nullptr});
-    std::vector<double> single_rates;
-    std::vector<double> batched_rates;
+    std::vector<std::vector<double>> single_rates(kernels.size());
+    std::vector<std::vector<double>> batched_rates(kernels.size());
     for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
         for (std::size_t i = 0; i < rounds; ++i) {
             specs[i].nonce = 1 + rep * rounds + i;
         }
-        auto start = std::chrono::steady_clock::now();
-        for (const auto& spec : specs) {
-            transport.simulate_round(messages, spec.nonce);
+        for (std::size_t k = 0; k < kernels.size(); ++k) {
+            auto start = std::chrono::steady_clock::now();
+            for (const auto& spec : specs) {
+                transports[k]->simulate_round(messages, spec.nonce);
+            }
+            single_rates[k].push_back(static_cast<double>(rounds) / seconds_since(start));
+
+            start = std::chrono::steady_clock::now();
+            transports[k]->simulate_rounds_into(specs, batches[k]);
+            batched_rates[k].push_back(static_cast<double>(batches[k].rounds()) /
+                                       seconds_since(start));
         }
-        single_rates.push_back(static_cast<double>(rounds) / seconds_since(start));
-
-        start = std::chrono::steady_clock::now();
-        transport.simulate_rounds_into(specs, batch);
-        batched_rates.push_back(static_cast<double>(batch.rounds()) / seconds_since(start));
     }
-    m.single_rounds_per_s = median(single_rates);
-    m.batched_rounds_per_s = median(batched_rates);
 
-    // Steady-state allocation count: a warm batch that repeats one
-    // (messages, nonce) keeps its round, so it is pure decoding — the arena
-    // contract says zero operator-new calls.
-    const std::vector<RoundSpec> steady(4, RoundSpec{&messages, 1, nullptr});
-    transport.simulate_rounds_into(steady, batch);  // reach high-water
-    const std::uint64_t before = alloc_hooks::count();
-    transport.simulate_rounds_into(steady, batch);
-    m.steady_allocs = alloc_hooks::count() - before;
-    m.arena_words = batch.arena_words();
-    return m;
+    // Allocation counts on the same workload, fresh nonces: one
+    // simulate_round, then one more batch through the warm reused batch.
+    for (std::size_t i = 0; i < rounds; ++i) {
+        specs[i].nonce = 1 + kRepetitions * rounds + i;
+    }
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        Measurement& m = rows[k];
+        m.single_rounds_per_s = median(single_rates[k]);
+        m.batched_rounds_per_s = median(batched_rates[k]);
+        std::uint64_t before = alloc_hooks::count();
+        transports[k]->simulate_round(messages, specs[0].nonce);
+        m.single_allocs = alloc_hooks::count() - before;
+        before = alloc_hooks::count();
+        transports[k]->simulate_rounds_into(specs, batches[k]);
+        m.steady_allocs = alloc_hooks::count() - before;
+        m.arena_words = batches[k].arena_words();
+    }
+    return rows;
 }
 
 std::string row_name(const Measurement& m) {
@@ -148,20 +179,16 @@ std::string claim_status(const std::vector<std::string>& breaking) {
     return status + ")";
 }
 
-/// The three claims E16 makes, each checked against every measured row.
+/// E16's two claims, each checked against the rows it covers.
 std::string verdict_text(const std::vector<Measurement>& measurements) {
-    std::vector<std::string> not_batched_faster;
     std::vector<std::string> not_vector_faster;
     std::vector<std::string> allocating;
     bool any_vector = false;
     for (const auto& m : measurements) {
-        if (m.batched_rounds_per_s <= m.single_rounds_per_s) {
-            not_batched_faster.push_back(row_name(m));
-        }
         if (m.steady_allocs != 0) {
             allocating.push_back(row_name(m) + " allocs=" + std::to_string(m.steady_allocs));
         }
-        if (m.resolved == simd::Kernel::scalar) {
+        if (m.resolved == simd::Kernel::scalar || m.n != kKernelClaimN) {
             continue;
         }
         any_vector = true;
@@ -172,11 +199,11 @@ std::string verdict_text(const std::vector<Measurement>& measurements) {
             }
         }
     }
-    return "batched beats single on every row: " + claim_status(not_batched_faster) +
-           "; vector kernels beat scalar (batched, same n): " +
+    return "steady-state allocations of a reused batch (fresh nonces) are exactly 0: " +
+           claim_status(allocating) + "; vector kernels beat scalar at n=" +
+           std::to_string(kKernelClaimN) + " (batched): " +
            (any_vector ? claim_status(not_vector_faster)
-                       : std::string("not tested (no vector kernel on this host)")) +
-           "; steady-state allocations are exactly 0: " + claim_status(allocating);
+                       : std::string("not tested (no vector kernel on this host)"));
 }
 
 }  // namespace
@@ -195,22 +222,21 @@ int main() {
         }
     }
 
-    std::vector<Measurement> measurements;
-    for (const auto kernel : kernels) {
-        // n=256 rounds take a few ms each: 48 of them time >= 0.2 s per
-        // path and repetition.
-        measurements.push_back(measure(256, 8, 48, kernel));
-        measurements.push_back(measure(1024, 8, 4, kernel));
+    // n=256 rounds take a few ms each: 48 of them time >= 0.2 s per path,
+    // kernel and repetition.
+    std::vector<Measurement> measurements = measure(256, 8, 48, kernels);
+    for (auto& m : measure(kKernelClaimN, 8, 4, kernels)) {
+        measurements.push_back(m);
     }
 
     Table table({"n", "Delta", "kernel", "single (rounds/s)", "batched (rounds/s)",
-                 "batched/single", "steady allocs"});
+                 "batched/single", "single allocs/round", "steady allocs"});
     for (const auto& m : measurements) {
         table.add_row({Table::num(m.n), Table::num(m.delta), simd::kernel_name(m.resolved),
                        Table::num(m.single_rounds_per_s, 1),
                        Table::num(m.batched_rounds_per_s, 1),
                        Table::num(m.batched_rounds_per_s / m.single_rounds_per_s, 2),
-                       Table::num(m.steady_allocs)});
+                       Table::num(m.single_allocs), Table::num(m.steady_allocs)});
     }
     table.print(std::cout, "simulate_round loop vs simulate_rounds_into batch (median of " +
                                std::to_string(kRepetitions) + " interleaved repetitions)");
@@ -268,6 +294,7 @@ int main() {
             json.kv("kernel", simd::kernel_name(m.resolved));
             json.kv("single_rounds_per_s", m.single_rounds_per_s);
             json.kv("batched_rounds_per_s", m.batched_rounds_per_s);
+            json.kv("single_allocs_per_round", m.single_allocs);
             json.kv("steady_state_allocs", m.steady_allocs);
             json.kv("arena_words", m.arena_words);
             json.end_object();

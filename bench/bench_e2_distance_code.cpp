@@ -19,6 +19,10 @@ int main() {
     const std::size_t a = 12;
     const double delta = 1.0 / 3.0;
 
+    // Lemma 6's predicates, fixed before the run: the 108a code clears
+    // relative distance 1/3, the short 13a code falls below it, and the
+    // Lemma 6 factory picks length 108a.
+    std::vector<std::string> failures;
     Table table({"length factor", "length b", "min d_H (exhaustive 2^12)", "min rel. dist",
                  "pairs below delta*b", "meets delta=1/3"});
     for (const std::size_t factor : {13u, 27u, 54u, 108u, 216u}) {
@@ -32,15 +36,27 @@ int main() {
         table.add_row({Table::num(factor), Table::num(code.length()), Table::num(min_distance),
                        Table::num(relative, 3), Table::num(below, 6),
                        relative >= delta ? "yes" : "no"});
+        if (factor == 108 && relative < delta) {
+            failures.push_back("108a code: min relative distance " + Table::num(relative, 3) +
+                               " < 1/3");
+        }
+        if (factor == 13 && relative >= delta) {
+            failures.push_back("13a code: min relative distance " + Table::num(relative, 3) +
+                               " does not fall below 1/3");
+        }
     }
     table.print(std::cout, "minimum pairwise distance over all 2^12 codewords, delta=1/3");
 
     const DistanceCode paper_code = DistanceCode::lemma6(a, delta, 0x1234);
     std::cout << "Lemma 6 factory length for a=12, delta=1/3: " << paper_code.length()
-              << " (= 108*a as the paper requires)\n\n";
+              << " (108*a = " << 108 * a << ")\n\n";
+    if (paper_code.length() != 108 * a) {
+        failures.push_back("DistanceCode::lemma6 length " + Table::num(paper_code.length()) +
+                           " != 108*a = " + Table::num(108 * a));
+    }
 
-    bench::verdict(
-        "relative distance grows with the length factor and clears 1/3 at the "
-        "Lemma 6 length; short codes (13a) fall below — matching the lemma's shape");
-    return 0;
+    return bench::checked_verdict(
+        "the 108a code (Lemma 6's length, which DistanceCode::lemma6 picks) has relative "
+        "distance >= 1/3 over all 2^12 codewords, and the 13a code falls below 1/3",
+        failures);
 }

@@ -21,6 +21,7 @@ int main() {
     const std::size_t rounds = 10;
 
     Table table({"Delta", "eps", "c_eps", "FN rate", "FP rate", "perfect rounds"});
+    TransportBatch batch;  // one batch for every round of every row
     for (const std::size_t d : {4u, 8u, 16u}) {
         const Graph g = bench::regular_graph(n, d, 0xe3 + d);
         Rng message_rng(17 + d);
@@ -39,7 +40,9 @@ int main() {
             std::size_t fp = 0;
             std::size_t perfect = 0;
             for (std::uint64_t nonce = 0; nonce < rounds; ++nonce) {
-                const auto round = transport.simulate_round(messages, nonce);
+                const RoundSpec spec{&messages, nonce, nullptr};
+                transport.simulate_rounds_into({&spec, 1}, batch);
+                const TransportRoundStats& round = batch.stats(0);
                 fn += round.phase1_false_negatives;
                 fp += round.phase1_false_positives;
                 perfect += round.perfect ? 1 : 0;

@@ -30,6 +30,7 @@ int main() {
 
     Table table({"eps", "c_eps", "phase-2 error rate", "node mismatch rate",
                  "perfect rounds"});
+    TransportBatch batch;  // one batch for every round of every row
     for (const std::size_t c_eps : {4u, 6u}) {
         for (const double eps : {0.0, 0.05, 0.1, 0.2, 0.3, 0.4}) {
             SimulationParams params;
@@ -42,7 +43,9 @@ int main() {
             std::size_t mismatches = 0;
             std::size_t perfect = 0;
             for (std::uint64_t nonce = 0; nonce < rounds; ++nonce) {
-                const auto round = transport.simulate_round(messages, nonce);
+                const RoundSpec spec{&messages, nonce, nullptr};
+                transport.simulate_rounds_into({&spec, 1}, batch);
+                const TransportRoundStats& round = batch.stats(0);
                 p2 += round.phase2_errors;
                 mismatches += round.delivery_mismatches;
                 perfect += round.perfect ? 1 : 0;

@@ -10,6 +10,7 @@
 #include "congest/algorithm.h"
 #include "graph/algorithms.h"
 #include "sim/codebook_cache.h"
+#include "sim/decode_core.h"
 
 namespace nb {
 
@@ -53,140 +54,171 @@ std::size_t TdmaTransport::rounds_per_broadcast_round() const {
     return color_count_ * (params_.message_bits + 1) * params_.repetitions;
 }
 
-void TdmaTransport::pack_schedules(const std::vector<std::optional<Bitstring>>& messages,
-                                   std::vector<Bitstring>& schedules) const {
-    const std::size_t n = graph_.node_count();
-    const std::size_t payload_bits = params_.message_bits + 1;
-    const std::size_t slot_bits = payload_bits * params_.repetitions;
-    const std::size_t total_bits = rounds_per_broadcast_round();
+/// What one round's decode loop reads; the closure captures only a
+/// reference to it, so std::function needs no per-round allocation.
+struct TdmaTransport::RoundJob {
+    const TdmaTransport& transport;
+    TransportBatch& batch;
+    const std::vector<std::optional<Bitstring>>* messages = nullptr;
+    const BatchEngine* engine = nullptr;
+    std::size_t round_index = 0;
+
+    /// Rewrite the scratch's slot schedules and zero-padded messages for
+    /// `messages` in place (slots are fixed by the coloring).
+    void pack() const;
+
+    /// Majority-decode one message per neighbor of v from that neighbor's
+    /// color slot into `worker`'s arena, and flag a wrong delivery.
+    void decode(std::size_t worker, NodeId v) const;
+};
+
+void TdmaTransport::RoundJob::pack() const {
+    const TdmaParams& params = transport.params_;
+    const std::size_t n = transport.graph_.node_count();
+    const std::size_t slot_bits = (params.message_bits + 1) * params.repetitions;
+    const std::size_t total_bits = transport.rounds_per_broadcast_round();
+    std::vector<Bitstring>& schedules = batch.scratch_->tdma_schedules;
+    std::vector<Bitstring>& padded = batch.scratch_->tdma_padded;
 
     // Node v transmits its payload (presence bit, then message bits), each
     // bit repeated, inside its color's slot.
     schedules.resize(n);
+    padded.resize(n);
     for (NodeId v = 0; v < n; ++v) {
+        const std::optional<Bitstring>& message = (*messages)[v];
         Bitstring& schedule = schedules[v];
         schedule.reset(total_bits);
-        if (messages[v].has_value()) {
-            require(messages[v]->size() <= params_.message_bits,
+        padded[v].reset(params.message_bits);
+        if (message.has_value()) {
+            require(message->size() <= params.message_bits,
                     "TdmaTransport: message exceeds the bit budget");
-            const std::size_t base = colors_[v] * slot_bits;
+            const std::size_t base = transport.colors_[v] * slot_bits;
             auto write_bit = [&](std::size_t bit_index, bool value) {
                 if (value) {
-                    for (std::size_t rep = 0; rep < params_.repetitions; ++rep) {
-                        schedule.set(base + bit_index * params_.repetitions + rep);
+                    for (std::size_t rep = 0; rep < params.repetitions; ++rep) {
+                        schedule.set(base + bit_index * params.repetitions + rep);
                     }
                 }
             };
             write_bit(0, true);  // presence
-            for (std::size_t i = 0; i < messages[v]->size(); ++i) {
-                write_bit(1 + i, messages[v]->test(i));
+            for (std::size_t i = 0; i < message->size(); ++i) {
+                write_bit(1 + i, message->test(i));
             }
+            message->for_each_one([&padded, v](std::size_t i) { padded[v].set(i); });
         }
     }
 }
 
-std::vector<TransportRound> TdmaTransport::simulate_rounds(
-    std::span<const RoundSpec> specs) const {
+void TdmaTransport::RoundJob::decode(std::size_t worker, NodeId v) const {
+    const TdmaParams& params = transport.params_;
+    TransportBatch::Scratch& scratch = *batch.scratch_;
+    transport_detail::DecodeWorkspace& ws = scratch.workspaces[worker];
+    engine->hear_into(v, scratch.tdma_schedules, ws.heard1);
+
+    const std::size_t slot_bits = (params.message_bits + 1) * params.repetitions;
+    const std::size_t majority = params.repetitions / 2 + 1;
+    const std::size_t stride = batch.message_words();
+    std::uint64_t run_start = 0;
+    std::uint32_t run_count = 0;
+    for (const auto u : transport.graph_.neighbors(v)) {
+        const std::size_t base = transport.colors_[u] * slot_bits;
+        auto read_bit = [&](std::size_t bit_index) {
+            std::size_t ones = 0;
+            for (std::size_t rep = 0; rep < params.repetitions; ++rep) {
+                if (ws.heard1.test(base + bit_index * params.repetitions + rep)) {
+                    ++ones;
+                }
+            }
+            return ones >= majority;
+        };
+        if (!read_bit(0)) {
+            continue;  // no presence: neighbor was silent
+        }
+        const std::uint64_t offset = batch.push_record(worker);
+        if (run_count == 0) {
+            run_start = offset;
+        }
+        std::uint64_t* record = batch.record_at(worker, offset);
+        std::fill_n(record, stride, std::uint64_t{0});
+        for (std::size_t i = 0; i < params.message_bits; ++i) {
+            if (read_bit(1 + i)) {
+                record[i / 64] |= std::uint64_t{1} << (i % 64);
+            }
+        }
+        ++run_count;
+    }
+    batch.commit_node(round_index, v, worker, run_start, run_count, ws.sort_tmp);
+
+    ws.expected.clear();
+    for (const auto u : transport.graph_.neighbors(v)) {
+        if ((*messages)[u].has_value()) {
+            ws.expected.push_back(&scratch.tdma_padded[u]);
+        }
+    }
+    scratch.tdma_mismatch[v] =
+        transport_detail::delivery_matches(batch, round_index, v, ws.expected) ? 0 : 1;
+}
+
+void TdmaTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
+                                         TransportBatch& batch) const {
     const std::size_t n = graph_.node_count();
     for (const auto& spec : specs) {
-        require(spec.messages != nullptr, "TdmaTransport::simulate_rounds: null messages");
+        require(spec.messages != nullptr, "TdmaTransport::simulate_rounds_into: null messages");
         require(spec.messages->size() == n, "TdmaTransport: one message slot per node");
         require(spec.faults == nullptr || spec.faults->empty(),
                 "TdmaTransport: fault injection is not supported");
     }
 
-    std::vector<TransportRound> results;
-    results.reserve(specs.size());
-    // Decode buffers are per batch: sized on the first round, reused by all.
-    std::vector<Bitstring> heard_buffers(pool_->worker_count());
+    if (batch.scratch_ == nullptr) {
+        batch.scratch_ = std::make_shared<TransportBatch::Scratch>();
+    }
+    TransportBatch::Scratch& scratch = *batch.scratch_;
+    const std::size_t workers = pool_->worker_count();
+    batch.prepare(specs.size(), n, params_.message_bits, workers);
+    if (scratch.workspaces.size() < workers) {
+        scratch.workspaces.resize(workers);
+    }
+    for (auto& ws : scratch.workspaces) {
+        ws.expected.reserve(graph_.max_degree());
+        ws.sort_tmp.reserve(batch.message_words());
+    }
+    scratch.tdma_mismatch.resize(n);
+
     // Schedules depend only on the messages, and RoundSpec's pointee stays
     // alive and unchanged for the whole call: a run of specs sharing one
     // messages vector packs once.
-    std::vector<Bitstring> schedules;
     std::size_t total_beeps = 0;
     const std::vector<std::optional<Bitstring>>* packed = nullptr;
-    for (const auto& spec : specs) {
+    const BatchParams channel{params_.channel_model(), false};
+    RoundJob job{*this, batch};
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         cancel_poll();  // round boundary, same contract as BeepTransport
+        const RoundSpec& spec = specs[i];
+        job.messages = spec.messages;
         if (spec.messages != packed) {
-            pack_schedules(*spec.messages, schedules);
-            total_beeps = BatchEngine::total_beeps(schedules);
+            job.pack();
+            total_beeps = BatchEngine::total_beeps(scratch.tdma_schedules);
             packed = spec.messages;
         }
-        results.push_back(
-            decode_round(schedules, total_beeps, *spec.messages, spec.nonce, heard_buffers));
+        const Rng round_rng = Rng(params_.transport_seed).derive(0x726f756eu, spec.nonce);
+        const BatchEngine engine(graph_, channel, round_rng);
+        engine.check_schedules(scratch.tdma_schedules);  // once per round, not per node
+
+        job.engine = &engine;
+        job.round_index = i;
+        pool_->parallel_for(n, [&job](std::size_t worker, std::size_t v) {
+            job.decode(worker, static_cast<NodeId>(v));
+        });
+
+        TransportRoundStats& stats = batch.stats_[i];
+        stats.beep_rounds = rounds_per_broadcast_round();
+        stats.total_beeps = total_beeps;
+        for (const auto mismatch : scratch.tdma_mismatch) {
+            stats.delivery_mismatches += mismatch;
+        }
+        stats.perfect = stats.delivery_mismatches == 0;
     }
-    return results;
-}
-
-TransportRound TdmaTransport::decode_round(const std::vector<Bitstring>& schedules,
-                                           std::size_t total_beeps,
-                                           const std::vector<std::optional<Bitstring>>& messages,
-                                           std::uint64_t round_nonce,
-                                           std::vector<Bitstring>& heard_buffers) const {
-    const std::size_t n = graph_.node_count();
-    const std::size_t payload_bits = params_.message_bits + 1;
-    const std::size_t slot_bits = payload_bits * params_.repetitions;
-
-    const Rng round_rng = Rng(params_.transport_seed).derive(0x726f756eu, round_nonce);
-    const BatchParams channel{params_.channel_model(), false};
-    const BatchEngine engine(graph_, channel, round_rng);
-    engine.check_schedules(schedules);  // once per round, not per node
-
-    TransportRound result;
-    result.beep_rounds = rounds_per_broadcast_round();
-    result.total_beeps = total_beeps;
-    result.delivered.resize(n);
-
-    const std::size_t majority = params_.repetitions / 2 + 1;
-    std::vector<std::size_t> mismatches(n, 0);
-    pool_->parallel_for(n, [&](std::size_t worker, std::size_t node) {
-        const auto v = static_cast<NodeId>(node);
-        Bitstring& heard = heard_buffers[worker];
-        engine.hear_into(v, schedules, heard);
-        // Decode one message per neighbor from that neighbor's color slot
-        // (the setup coloring tells v when each neighbor transmits).
-        for (const auto u : graph_.neighbors(v)) {
-            const std::size_t base = colors_[u] * slot_bits;
-            auto read_bit = [&](std::size_t bit_index) {
-                std::size_t ones = 0;
-                for (std::size_t rep = 0; rep < params_.repetitions; ++rep) {
-                    if (heard.test(base + bit_index * params_.repetitions + rep)) {
-                        ++ones;
-                    }
-                }
-                return ones >= majority;
-            };
-            if (!read_bit(0)) {
-                continue;  // no presence: neighbor was silent
-            }
-            Bitstring message(params_.message_bits);
-            for (std::size_t i = 0; i < params_.message_bits; ++i) {
-                if (read_bit(1 + i)) {
-                    message.set(i);
-                }
-            }
-            result.delivered[v].push_back(std::move(message));
-        }
-        sort_messages(result.delivered[v]);
-
-        std::vector<Bitstring> expected;
-        for (const auto u : graph_.neighbors(v)) {
-            if (messages[u].has_value()) {
-                Bitstring padded(params_.message_bits);
-                messages[u]->for_each_one([&padded](std::size_t i) { padded.set(i); });
-                expected.push_back(std::move(padded));
-            }
-        }
-        sort_messages(expected);
-        if (expected != result.delivered[v]) {
-            mismatches[v] = 1;
-        }
-    });
-    for (const auto mismatch : mismatches) {
-        result.delivery_mismatches += mismatch;
-    }
-    result.perfect = result.delivery_mismatches == 0;
-    return result;
+    batch.level_arenas();
 }
 
 }  // namespace nb

@@ -18,6 +18,10 @@
 // a pure function of the graph, so every transport takes it from the
 // process-wide CodebookCache (sim/codebook_cache.h), which computes it once
 // per graph.
+//
+// simulate_rounds_into writes BeepTransport's record format into the
+// caller's TransportBatch and keeps the packed schedules and per-worker
+// heard buffers in its scratch, so a reused batch decodes without allocating.
 #pragma once
 
 #include <cstddef>
@@ -60,12 +64,14 @@ public:
     /// from the CodebookCache at construction.
     TdmaTransport(const Graph& graph, TdmaParams params);
 
-    /// Batched rounds (specs must carry no FaultModel — the baseline does
-    /// not model faults). Schedules are packed again only when a spec's
-    /// messages pointer differs from the previous spec's, and decode buffers
-    /// are reused across the whole batch.
-    std::vector<TransportRound> simulate_rounds(
-        std::span<const RoundSpec> specs) const override;
+    /// TDMA rounds into `batch` (specs must carry no FaultModel — the
+    /// baseline does not model faults). Deliveries are the same fixed-stride
+    /// records and counters BeepTransport writes. The packed schedules and
+    /// the per-worker heard buffers live in the batch's scratch; schedules
+    /// are packed again only when a spec's messages pointer differs from the
+    /// previous spec's in the same call.
+    void simulate_rounds_into(std::span<const RoundSpec> specs,
+                              TransportBatch& batch) const override;
 
     std::size_t rounds_per_broadcast_round() const override;
 
@@ -77,16 +83,8 @@ public:
     const TdmaParams& params() const noexcept { return params_; }
 
 private:
-    /// Overwrite `schedules` with each node's beep schedule for `messages`
-    /// (slots are fixed by the coloring), reusing its storage.
-    void pack_schedules(const std::vector<std::optional<Bitstring>>& messages,
-                        std::vector<Bitstring>& schedules) const;
-
-    TransportRound decode_round(const std::vector<Bitstring>& schedules,
-                                std::size_t total_beeps,
-                                const std::vector<std::optional<Bitstring>>& messages,
-                                std::uint64_t round_nonce,
-                                std::vector<Bitstring>& heard_buffers) const;
+    /// One call's packing and decode steps (defined in tdma_transport.cpp).
+    struct RoundJob;
 
     const Graph& graph_;
     TdmaParams params_;

@@ -47,15 +47,12 @@ void Bitstring::random_into(Rng& rng, std::size_t size, Bitstring& out) {
     out.clear_padding();
 }
 
-Bitstring Bitstring::from_words(std::span<const std::uint64_t> words, std::size_t bits) {
-    Bitstring result(bits);
-    require(words.size() >= result.words_.size(),
-            "Bitstring::from_words: not enough source words");
-    for (std::size_t w = 0; w < result.words_.size(); ++w) {
-        result.words_[w] = words[w];
-    }
-    result.clear_padding();
-    return result;
+void Bitstring::assign_words(std::span<const std::uint64_t> words, std::size_t bits) {
+    const std::size_t count = word_count_for(bits);
+    require(words.size() >= count, "Bitstring::assign_words: not enough source words");
+    size_ = bits;
+    words_.assign(words.begin(), words.begin() + static_cast<std::ptrdiff_t>(count));
+    clear_padding();
 }
 
 Bitstring Bitstring::random_with_weight(Rng& rng, std::size_t size, std::size_t weight) {

@@ -39,12 +39,12 @@ public:
     /// random() into a caller-owned string, reusing its word storage.
     static void random_into(Rng& rng, std::size_t size, Bitstring& out);
 
-    /// Bitstring of `bits` bits copied from packed word storage (the layout
-    /// words() exposes). `words` must hold ceil(bits / 64) words or more;
-    /// unused high bits of the last word are cleared. The zero-copy
-    /// transport ring stores delivered messages as raw word runs and
-    /// rebuilds Bitstrings with this on the compatibility path.
-    static Bitstring from_words(std::span<const std::uint64_t> words, std::size_t bits);
+    /// Become the `bits`-bit string held in packed word storage (the layout
+    /// words() exposes), reusing this string's storage: no allocation once
+    /// it holds that many words. `words` must hold ceil(bits / 64) words or
+    /// more; unused high bits of the last word are cleared. The transport
+    /// batch stores delivered messages as raw word runs.
+    void assign_words(std::span<const std::uint64_t> words, std::size_t bits);
 
     /// Random bitstring of `size` bits with exactly `weight` ones
     /// (uniform over all such strings). Precondition: weight <= size.

@@ -155,7 +155,7 @@ struct ScenarioResult {
 };
 
 /// Execute one spec: build the topology and workload, construct the
-/// transport, simulate all rounds through the batched simulate_rounds path,
+/// transport, simulate all rounds in one simulate_rounds_into call (counters only),
 /// and aggregate. Deterministic: a spec's result fields (wall time aside)
 /// are a pure function of the spec.
 ScenarioResult run_scenario(const ScenarioSpec& spec);

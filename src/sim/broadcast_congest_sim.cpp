@@ -1,3 +1,6 @@
+// Theorem 11's loop: one simulate_rounds_into call per CONGEST round on a
+// TransportBatch held for the whole run, deliveries handed over in per-node
+// inboxes rewritten in place, so rounds after the first allocate nothing.
 #include "sim/broadcast_congest_sim.h"
 
 #include <algorithm>
@@ -41,6 +44,8 @@ SimulatedRunStats BroadcastCongestOverBeeps::run(
 
     SimulatedRunStats stats;
     std::vector<std::optional<Bitstring>> outbox(n);
+    std::vector<std::vector<Bitstring>> inbox(n);
+    TransportBatch batch;
     for (std::size_t round = 0; round < max_rounds; ++round) {
         bool someone_active = false;
         for (NodeId v = 0; v < n; ++v) {
@@ -56,17 +61,13 @@ SimulatedRunStats BroadcastCongestOverBeeps::run(
             break;
         }
 
-        // One-spec batch on the batched transport API: the algorithm loop is
-        // inherently sequential (round r+1's messages depend on round r's
-        // deliveries), so the batch cannot grow beyond one round here — but
-        // the call still rides the batched path's hoisted setup.
-        //
-        // RoundSpec::messages is non-owning: `outbox` must stay alive and
-        // unmodified until simulate_rounds returns. It does — outbox is
-        // declared outside the loop and only rewritten after the call, once
-        // deliveries have been handed to the algorithms.
+        // A one-spec batch: the algorithm loop is inherently sequential
+        // (round r+1's messages depend on round r's deliveries). RoundSpec
+        // is non-owning; `outbox` is only rewritten after the deliveries
+        // have been handed to the algorithms.
         const RoundSpec spec{&outbox, round, nullptr};
-        const TransportRound delivery = std::move(transport_->simulate_rounds({&spec, 1}).front());
+        transport_->simulate_rounds_into({&spec, 1}, batch);
+        const TransportRoundStats& delivery = batch.stats(0);
         ++stats.congest_rounds;
         stats.beep_rounds += delivery.beep_rounds;
         stats.total_beeps += delivery.total_beeps;
@@ -78,9 +79,14 @@ SimulatedRunStats BroadcastCongestOverBeeps::run(
         }
 
         for (NodeId v = 0; v < n; ++v) {
-            if (!nodes[v]->finished()) {
-                nodes[v]->receive(round, delivery.delivered[v], streams[v]);
+            if (nodes[v]->finished()) {
+                continue;
             }
+            inbox[v].resize(batch.delivered_count(0, v));
+            for (std::size_t i = 0; i < inbox[v].size(); ++i) {
+                inbox[v][i].assign_words(batch.delivered_words(0, v, i), batch.message_bits());
+            }
+            nodes[v]->receive(round, inbox[v], streams[v]);
         }
     }
 

@@ -1,6 +1,7 @@
 #include "sim/codebook.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -77,6 +78,11 @@ void for_each_index(ThreadPool* pool, std::size_t count, const Fn& fn) {
     pool->parallel_for(count, [&fn](std::size_t, std::size_t index) { fn(index); });
 }
 
+std::uint64_t next_codebook_id() {
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 std::uint64_t Codebook::ShardView::digest() const {
@@ -106,7 +112,8 @@ Codebook::Codebook(const Graph& graph, const SimulationParams& params, ShardView
       combined_(make_combined(params,
                               view_.has_value()
                                   ? static_cast<std::size_t>(view_->global_max_degree)
-                                  : graph.max_degree())) {
+                                  : graph.max_degree())),
+      id_(next_codebook_id()) {
     fp_codebook_build.check();
     params_.validate();
     if (view_.has_value()) {
@@ -117,7 +124,6 @@ Codebook::Codebook(const Graph& graph, const SimulationParams& params, ShardView
         require(view_->owned_begin + view_->owned_count <= graph_.node_count(),
                 "Codebook: shard view owned range out of bounds");
     }
-    stats_.code_builds = 1;
     build_candidate_index();
 }
 
@@ -174,6 +180,13 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     const std::size_t n = graph_.node_count();
     require(messages.size() == n, "Codebook: one message slot per node");
 
+    // The all_nodes node-payload gap block survives only a rebuild from
+    // equal messages by this codebook; a build that throws leaves the Round
+    // keyed to none.
+    const bool all_nodes = params_.dictionary == DictionaryPolicy::all_nodes;
+    const bool keep_node_gaps =
+        all_nodes && round.codebook_id == id_ && round.messages == messages;
+    round.codebook_id = 0;
     round.nonce = nonce;
     round.rng = Rng(params_.transport_seed).derive(0x726f756eu, nonce);
 
@@ -199,7 +212,7 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     // array's elements contiguously. Every slot is written in place (the
     // `_into` forms), reusing the storage it already holds: rebuilding a
     // warm Round allocates nothing (under all_nodes, once the node-payload
-    // gap block below is cached for the messages).
+    // gap block below is kept for the messages).
     const std::size_t decoys = params_.decoy_count;
     const std::size_t entry_count = n + 1 + decoys;
 
@@ -263,11 +276,10 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     // header comment on Round). The matrix is built only from
     // bitslice_min_candidates candidates up — below the crossover the
     // transport's scalar early-exit loop wins and the transpose would be
-    // waste. The O(n^2) node-payload gap block is messages-keyed in
-    // node_gaps_, so a fixed-messages nonce sweep recomputes only the
-    // decoy rows each round.
-    const bool sliced = params_.dictionary == DictionaryPolicy::all_nodes &&
-                        n + params_.decoy_count >= params_.bitslice_min_candidates;
+    // waste. The O(n^2) node-payload gap block is kept in the Round across
+    // rebuilds from equal messages, so a fixed-messages nonce sweep through
+    // one Round recomputes only the decoy rows each round.
+    const bool sliced = all_nodes && n + params_.decoy_count >= params_.bitslice_min_candidates;
     if (sliced) {
         round.codeword_slices.build(round.codewords, round.decoy_codewords);
     } else {
@@ -280,46 +292,17 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     round.candidate_encoded_soa.build(sliced ? std::span<const Bitstring>(round.candidate_encoded)
                                              : std::span<const Bitstring>());
     round.decode_gaps.clear();
-    if (params_.dictionary == DictionaryPolicy::all_nodes) {
+    if (all_nodes) {
         const std::span<const Bitstring> all_messages(round.candidate_messages);
         const std::span<const Bitstring> all_encoded(round.candidate_encoded);
-        std::shared_ptr<const NodeGapCache> node_gaps;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            for (auto it = node_gaps_.begin(); it != node_gaps_.end(); ++it) {
-                if ((*it)->messages == messages) {
-                    node_gaps_.splice(node_gaps_.begin(), node_gaps_, it);
-                    node_gaps = node_gaps_.front();
-                    break;
-                }
-            }
+        if (!keep_node_gaps) {
+            round.node_gaps =
+                distance.decode_gaps(all_messages.first(n + 1), all_encoded.first(n + 1));
         }
-        if (node_gaps == nullptr) {
-            auto fresh = std::make_shared<NodeGapCache>();
-            fresh->messages = messages;
-            fresh->gaps = distance.decode_gaps(all_messages.first(n + 1),
-                                               all_encoded.first(n + 1));
-            node_gaps = fresh;
-            std::lock_guard<std::mutex> lock(mutex_);
-            // Re-check under the insertion lock: a concurrent same-messages
-            // miss may have raced the build; inserting a duplicate would
-            // waste a slot and compound into thrash under capacity pressure.
-            bool already_cached = false;
-            for (const auto& entry : node_gaps_) {
-                if (entry->messages == messages) {
-                    already_cached = true;
-                    break;
-                }
-            }
-            if (!already_cached) {
-                node_gaps_.push_front(std::move(fresh));
-                while (node_gaps_.size() > node_gap_capacity()) {
-                    node_gaps_.pop_back();
-                }
-            }
-        }
-        distance.extend_decode_gaps_into(all_messages, all_encoded, node_gaps->gaps,
+        distance.extend_decode_gaps_into(all_messages, all_encoded, round.node_gaps,
                                          round.decode_gaps);
+    } else {
+        round.node_gaps.clear();
     }
 
     // Fault-free phase-2 schedules CD(r_v, payload_v): D(payload_v) is
@@ -338,20 +321,8 @@ void Codebook::build_round(Round& round, const std::vector<std::optional<Bitstri
     round.phase1_beeps = (owned_hi - owned_lo) * beep.weight();
 
     round.messages = messages;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.round_builds;
-    stats_.codeword_builds += (owned_hi - owned_lo) + decoys;
-    stats_.payload_encodes += entry_count;
-}
-
-std::size_t Codebook::node_gap_capacity() {
-    // 2x the available cores covers moderate worker oversubscription (the
-    // sweep worker count is user-set, not capped at the core count); the
-    // floor of 64 makes even heavy oversubscription cheap, since an entry
-    // is a few KB while a thrashed recompute is O(n^2) distance decodes
-    // per round.
-    return std::max<std::size_t>(64, 2 * ThreadPool::available_cores());
+    round.codebook_id = id_;
+    round_builds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t Codebook::fingerprint() const {
@@ -394,8 +365,15 @@ std::uint64_t Codebook::fingerprint() const {
 }
 
 Codebook::Stats Codebook::stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    const std::size_t builds = round_builds_.load(std::memory_order_relaxed);
+    const std::size_t n = graph_.node_count();
+    const std::size_t owned = view_.has_value() ? view_->owned_count : n;
+    Stats stats;
+    stats.code_builds = 1;
+    stats.round_builds = builds;
+    stats.codeword_builds = builds * (owned + params_.decoy_count);
+    stats.payload_encodes = builds * (n + 1 + params_.decoy_count);
+    return stats;
 }
 
 }  // namespace nb

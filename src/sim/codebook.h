@@ -13,25 +13,25 @@
 // the fresh inputs r_v, payloads, codewords C(r_v) with cached 1-positions,
 // fault-free phase schedules, decoy material, and the phase-2 candidate
 // dictionary with all distance-code encodings precomputed. The Codebook
-// keeps no Round. Its caller owns one and build_round() rewrites it in
-// place; BeepTransport keeps one per shard in the TransportBatch that
-// decodes it (decode_core.h). round() is the allocate-and-build convenience.
+// keeps no Round and no per-round state at all: its caller owns a Round and
+// build_round() rewrites it in place; BeepTransport keeps one per shard in
+// the TransportBatch that decodes it (decode_core.h). round() is the
+// allocate-and-build convenience. A shared Codebook is therefore read-only
+// after construction, apart from one relaxed build counter behind stats().
 //
 // There is one way to build either layer: compute it. The candidate index is
 // computed from the graph (or, through a ShardView, from one shard's closure
-// graph), and every round is derived from scratch from (messages, nonce):
-// every per-round quantity is a pure function of the seeds and that key, so
-// a round is never patched from an earlier one and a rebuilt Round equals a
-// fresh one field by field. The only state carried across rounds is the
-// messages-keyed memo of the node-payload phase-2 decode gaps (all_nodes
-// only). Construction counters are exposed via stats() so tests can assert
-// how often each layer is built.
+// graph), and every round is derived from (messages, nonce): every per-round
+// quantity is a pure function of the seeds and that key, so a rebuilt Round
+// equals a fresh one field by field. The one block a rebuild may keep is
+// the Round's own node-payload decode gaps (all_nodes only), which depend on
+// the messages alone: it is kept exactly when the same codebook last built
+// that Round from equal messages.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -126,6 +126,12 @@ public:
         /// (DistanceCode::decode_gaps). Empty under two_hop.
         std::vector<std::uint32_t> decode_gaps;
 
+        /// decode_gaps' node-payload block (entries 0..n: payloads + null).
+        /// It depends only on `messages`, so a rebuild by the same codebook
+        /// from equal messages keeps it and recomputes only the decoy rows
+        /// (DistanceCode::extend_decode_gaps_into). Empty under two_hop.
+        std::vector<std::uint32_t> node_gaps;
+
         /// Fault-free phase-2 schedules CD(r_v, payload_v) and the fault-free
         /// energy totals (phase 1 beeps the codewords themselves).
         std::vector<Bitstring> combined_schedules;
@@ -136,6 +142,9 @@ public:
 
         std::uint64_t nonce = 0;
         std::vector<std::optional<Bitstring>> messages;  ///< what it was built from
+        /// id() of the codebook whose build_round last completed on this
+        /// Round; 0 = none, or that build threw.
+        std::uint64_t codebook_id = 0;
     };
 
     /// Rebuild `round` in place as the Round for (messages, nonce): every
@@ -143,9 +152,9 @@ public:
     /// emptied), so the result equals a fresh build whatever `round` held
     /// before. Each per-node and per-entry slot is rewritten into the
     /// storage it already holds, so rebuilding a warm Round of the same
-    /// shape allocates nothing under two_hop (all_nodes still rebuilds its
-    /// bitslice matrix and decode gaps). Thread-safe for
-    /// distinct `round` objects. A Round is channel-independent by
+    /// shape allocates nothing (under all_nodes, once `round.node_gaps`
+    /// is kept for equal messages). Thread-safe for distinct `round`
+    /// objects. A Round is channel-independent by
     /// construction (codewords, schedules, and dictionaries are what nodes
     /// *transmit*; the ChannelModel perturbs transcripts at hear time, from
     /// streams derived off round.rng by the engines). The per-node loops run
@@ -191,7 +200,13 @@ public:
     /// through this digest. Stats-neutral and thread-safe.
     std::uint64_t fingerprint() const;
 
-    /// Construction counters for the once-per-transport contract.
+    /// Process-unique, never reused: the key a Round records its builder by,
+    /// so a dead codebook's address cannot alias a new one.
+    std::uint64_t id() const noexcept { return id_; }
+
+    /// Construction counters for the once-per-transport contract, derived
+    /// from one relaxed round-build counter: each build samples owned +
+    /// decoys codewords and encodes n + 1 + decoys payloads.
     struct Stats {
         std::size_t code_builds = 0;      ///< code-triple constructions
         std::size_t round_builds = 0;     ///< build_round calls
@@ -210,24 +225,6 @@ private:
             offsets_[r], offsets_[r + 1] - offsets_[r]);
     }
 
-    /// The node-payload block of the phase-2 decode radii (entries 0..n:
-    /// payloads + null) depends only on `messages`, not the nonce, so a
-    /// fixed-messages nonce sweep reuses it and each round pays only for
-    /// the decoy rows (DistanceCode::extend_decode_gaps_into). Kept as a small
-    /// MRU list rather than one slot: concurrent sweep jobs sharing this
-    /// codebook differ exactly in their messages, and a single slot would
-    /// thrash — re-running the O(n^2) gap computation every round.
-    struct NodeGapCache {
-        std::vector<std::optional<Bitstring>> messages;  ///< the cache key
-        std::vector<std::uint32_t> gaps;
-    };
-
-    /// Node-gap entries kept: sized to exceed any plausible number of
-    /// concurrent sweep jobs (each with its own messages) sharing this
-    /// codebook — if a live job's entry were evicted between its rounds,
-    /// the O(n^2) saving the cache exists for would be lost to thrash.
-    static std::size_t node_gap_capacity();
-
     const Graph& graph_;
     SimulationParams params_;
     std::optional<ShardView> view_;  ///< before combined_: its degree sizes the code
@@ -240,9 +237,8 @@ private:
     std::vector<std::uint32_t> entries_;
     std::size_t max_node_candidates_ = 0;
 
-    mutable std::mutex mutex_;
-    mutable std::list<std::shared_ptr<const NodeGapCache>> node_gaps_;  ///< MRU first
-    mutable Stats stats_;
+    std::uint64_t id_;
+    mutable std::atomic<std::size_t> round_builds_{0};
 };
 
 }  // namespace nb

@@ -193,31 +193,32 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v) {
 
     // Ground-truth delivery for the mismatch diagnostic: faulty
     // neighbors' messages are lost by definition. The expected messages
-    // are the cached payload tails, compared word-by-word against the
-    // arena records so the check allocates nothing.
+    // are the cached payload tails.
     ws.expected.clear();
     for (const auto u : c.graph->neighbors(v)) {
         if ((*c.messages)[u].has_value() && (*c.states)[u] == NodeState::correct) {
             ws.expected.push_back(&rd.candidate_tails[u]);
         }
     }
-    std::sort(ws.expected.begin(), ws.expected.end(),
-              [](const Bitstring* a, const Bitstring* b) { return message_less(*a, *b); });
-    bool mismatch = ws.expected.size() != run_count;
-    for (std::size_t i = 0; !mismatch && i < ws.expected.size(); ++i) {
-        const std::span<const std::uint64_t> record =
-            c.batch->delivered_words(c.round_index, gv, i);
-        const std::vector<std::uint64_t>& expect = ws.expected[i]->words();
-        for (std::size_t w = 0; w < stride; ++w) {
-            if (record[w] != expect[w]) {
-                mismatch = true;
-                break;
-            }
-        }
-    }
-    if (mismatch) {
+    if (!delivery_matches(*c.batch, c.round_index, gv, ws.expected)) {
         ++diag.delivery_mismatches;
     }
+}
+
+bool delivery_matches(const TransportBatch& batch, std::size_t round, NodeId v,
+                      std::vector<const Bitstring*>& expected) {
+    if (expected.size() != batch.delivered_count(round, v)) {
+        return false;
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const Bitstring* a, const Bitstring* b) { return message_less(*a, *b); });
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const std::span<const std::uint64_t> record = batch.delivered_words(round, v, i);
+        if (!std::equal(record.begin(), record.end(), expected[i]->words().begin())) {
+            return false;
+        }
+    }
+    return true;
 }
 
 }  // namespace transport_detail

@@ -6,11 +6,12 @@
 // noise streams), not about two decode implementations staying in sync
 // (DESIGN.md section 10).
 //
-// Internal header: included by transport.cpp and decode_core.cpp only. It
-// also defines TransportBatch::Scratch (forward-declared in
-// transport_batch.h), the cross-call scratch the transport keeps in the
-// caller's batch — each shard's Round among it, so the batch that decodes a
-// round owns its one decoding dictionary.
+// Internal header: included by the transports (transport.cpp,
+// tdma_transport.cpp) and decode_core.cpp only. It also defines
+// TransportBatch::Scratch (forward-declared in transport_batch.h), the
+// cross-call scratch a transport keeps in the caller's batch — each shard's
+// Round among it, so the batch that decodes a round owns its one decoding
+// dictionary.
 #pragma once
 
 #include <cstddef>
@@ -105,6 +106,13 @@ struct DecodeContext {
 void reserve_workspace(const Codebook& codebook, const Codebook::Round& round,
                        std::size_t message_words, DecodeWorkspace& ws);
 
+/// Whether the run committed for (round, v) holds exactly the messages
+/// `expected` points to, as a multiset. Sorts `expected` by message_less and
+/// compares word by word against the arena records, so the check allocates
+/// nothing.
+bool delivery_matches(const TransportBatch& batch, std::size_t round, NodeId v,
+                      std::vector<const Bitstring*>& expected);
+
 /// Decode node `v` (a local id under sharding) on `worker`'s scratch:
 /// phase-1 acceptance, phase-2 nearest-entry decodes, delivery commit into
 /// the batch, and this node's diagnostics. Faulty nodes return immediately
@@ -118,13 +126,10 @@ void decode_node(const DecodeContext& ctx, std::size_t worker, NodeId v);
 struct ShardScratch {
     std::vector<std::optional<Bitstring>> messages;  ///< local slice, closure order
     /// The shard's decoding dictionary. The build stage rebuilds it in place
-    /// only when the codebook, nonce or messages differ from what built it;
-    /// the decode stage writes its halo slots from the boundary table.
+    /// only when the codebook (Round::codebook_id), nonce or messages differ
+    /// from what built it; the decode stage writes its halo slots from the
+    /// boundary table.
     Codebook::Round round;
-    /// The codebook that built `round` (null: none, or a build threw). Held,
-    /// not just compared by address, so a freed codebook's address cannot
-    /// alias a new one.
-    std::shared_ptr<const SharedCodebook> round_codebook;
     std::vector<Bitstring> faulty_phase1;
     std::vector<Bitstring> faulty_phase2;
     std::vector<NodeState> states;  ///< local slice, closure order
@@ -144,6 +149,13 @@ struct TransportBatch::Scratch {
     std::vector<transport_detail::NodeState> states;  ///< this round's, by global id
     std::vector<transport_detail::ShardScratch> shards;
     std::vector<std::uint64_t> table;
+
+    /// TdmaTransport's slot schedules for the messages last packed, each
+    /// node's message zero-padded to the budget (what its neighbours must
+    /// deliver), and per-node mismatch flags.
+    std::vector<Bitstring> tdma_schedules;
+    std::vector<Bitstring> tdma_padded;
+    std::vector<std::uint8_t> tdma_mismatch;
 };
 
 }  // namespace nb

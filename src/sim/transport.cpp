@@ -23,22 +23,21 @@ using transport_detail::NodeDiagnostics;
 using transport_detail::NodeState;
 using transport_detail::ShardScratch;
 
-namespace {
-
-/// Overwrite `out` with the `bits`-bit schedule at `row`, reusing its word
-/// storage (a warm slot allocates nothing).
-void load_row(Bitstring& out, const std::uint64_t* row, std::size_t bits) {
-    out.reset(bits);
-    for (std::size_t pos = 0; pos < bits; pos += 64) {
-        out.store_bits(pos, row[pos / 64], std::min<std::size_t>(64, bits - pos));
+std::vector<TransportRound> Transport::simulate_rounds(std::span<const RoundSpec> specs) const {
+    TransportBatch batch;
+    simulate_rounds_into(specs, batch);
+    std::vector<TransportRound> results;
+    results.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        results.push_back(batch.to_round(i));
     }
+    return results;
 }
 
-}  // namespace
-
-TransportRound Transport::simulate_round(
-    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t round_nonce) const {
-    const RoundSpec spec{&messages, round_nonce, nullptr};
+TransportRound Transport::simulate_round(const std::vector<std::optional<Bitstring>>& messages,
+                                         std::uint64_t round_nonce,
+                                         const FaultModel& faults) const {
+    const RoundSpec spec{&messages, round_nonce, &faults};
     return std::move(simulate_rounds({&spec, 1}).front());
 }
 
@@ -88,28 +87,6 @@ std::size_t BeepTransport::rounds_per_broadcast_round() const {
     return params_.rounds_per_broadcast_round(graph_.max_degree());
 }
 
-TransportRound BeepTransport::simulate_round(
-    const std::vector<std::optional<Bitstring>>& messages, std::uint64_t round_nonce,
-    const FaultModel& faults) const {
-    const RoundSpec spec{&messages, round_nonce, &faults};
-    return std::move(simulate_rounds({&spec, 1}).front());
-}
-
-std::vector<TransportRound> BeepTransport::simulate_rounds(
-    std::span<const RoundSpec> specs) const {
-    // The compatibility bridge: decode into a throwaway batch, then convert
-    // each round to the owning TransportRound shape. Callers that care about
-    // allocation rates use simulate_rounds_into with a reused batch.
-    TransportBatch batch;
-    simulate_rounds_into(specs, batch);
-    std::vector<TransportRound> results;
-    results.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        results.push_back(batch.to_round(i));
-    }
-    return results;
-}
-
 /// What both per-shard stages of one round read. The stage closures capture
 /// only a reference to it, which keeps each std::function conversion inside
 /// its small buffer — no per-round allocation.
@@ -143,12 +120,10 @@ void BeepTransport::RoundJob::build(std::size_t s) const {
         }
         messages = &sr.messages;
     }
-    if (sr.round_codebook != shard.codebook || sr.round.nonce != spec->nonce ||
+    const Codebook& codebook = shard.codebook->codebook();
+    if (sr.round.codebook_id != codebook.id() || sr.round.nonce != spec->nonce ||
         sr.round.messages != *messages) {
-        sr.round_codebook.reset();  // a build that throws leaves no valid round
-        shard.codebook->codebook().build_round(sr.round, *messages, spec->nonce,
-                                               transport.pool_.get());
-        sr.round_codebook = shard.codebook;
+        codebook.build_round(sr.round, *messages, spec->nonce, transport.pool_.get());
     }
 
     const std::size_t wb = transport.words_per_schedule_;
@@ -177,8 +152,8 @@ void BeepTransport::RoundJob::decode(std::size_t s) const {
         const std::uint64_t* row = scratch.table.data() +
                                    transport.shards_[imp.src_shard].row_offset_words +
                                    static_cast<std::size_t>(imp.src_row) * 2 * wb;
-        load_row(round.codewords[imp.local], row, b);
-        load_row(round.combined_schedules[imp.local], row + wb, b);
+        round.codewords[imp.local].assign_words({row, wb}, b);
+        round.combined_schedules[imp.local].assign_words({row + wb, wb}, b);
         std::vector<std::size_t>& positions = round.one_positions[imp.local];
         positions.clear();
         round.codewords[imp.local].for_each_one(
@@ -285,7 +260,7 @@ void BeepTransport::simulate_rounds_into(std::span<const RoundSpec> specs,
                                          TransportBatch& batch) const {
     const std::size_t n = graph_.node_count();
     for (const auto& spec : specs) {
-        require(spec.messages != nullptr, "BeepTransport::simulate_rounds: null messages");
+        require(spec.messages != nullptr, "BeepTransport::simulate_rounds_into: null messages");
         require(spec.messages->size() == n, "BeepTransport: one message slot per node");
     }
 

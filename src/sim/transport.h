@@ -16,6 +16,9 @@
 // The transport also computes ground-truth deliveries and per-phase error
 // diagnostics, which the experiments report; they are observability hooks,
 // never inputs to the decoding itself.
+//
+// Every transport has one round entry point, simulate_rounds_into, which
+// writes a caller-owned TransportBatch (transport_batch.h).
 #pragma once
 
 #include <cstdint>
@@ -70,9 +73,9 @@ struct TransportRound {
 
 /// One round of a batched simulation: the messages (non-owning and never
 /// null — implementations require() it per spec, and the pointee must
-/// outlive the simulate_rounds call), the per-round nonce, and an optional
-/// fault model (nullptr = fault-free, otherwise also non-owning with the
-/// same lifetime contract).
+/// outlive the simulate_rounds_into call), the per-round nonce, and an
+/// optional fault model (nullptr = fault-free, otherwise also non-owning with
+/// the same lifetime contract).
 /// Sweeps typically share one messages vector across many specs and vary
 /// only the nonce.
 struct RoundSpec {
@@ -84,25 +87,35 @@ struct RoundSpec {
 /// Abstract "one Broadcast CONGEST round over beeps" mechanism. The paper's
 /// Algorithm 1 (BeepTransport) and the prior-work G^2-coloring TDMA baseline
 /// implement this, so the same simulated engine and experiments drive both.
+///
+/// There is one way to run a round: simulate_rounds_into, the only virtual.
+/// Every caller that runs more than one round holds one TransportBatch across
+/// its rounds; simulate_rounds and simulate_round are conveniences that
+/// decode into a throwaway batch and convert it to TransportRounds.
 class Transport {
 public:
     virtual ~Transport() = default;
 
-    /// Simulate a batch of rounds, one result per spec, in spec order. This
-    /// is the throughput path: per-spec setup (schedule validation, decode
-    /// workspaces, engine state) is paid once per batch instead of once per
-    /// round. Outputs are bit-identical to calling simulate_round per spec —
-    /// batching, like threading, only trades wall-clock (see DESIGN.md
-    /// section 5).
-    virtual std::vector<TransportRound> simulate_rounds(
-        std::span<const RoundSpec> specs) const = 0;
+    /// Decode `specs` into caller-owned storage (transport_batch.h): records
+    /// in per-worker arenas, counters in batch.stats(i), all scratch in the
+    /// batch, so a reused batch at its high-water mark allocates nothing.
+    /// Outputs are bit-identical however specs are split across calls and
+    /// whatever the thread count (DESIGN.md section 5).
+    virtual void simulate_rounds_into(std::span<const RoundSpec> specs,
+                                      TransportBatch& batch) const = 0;
+
+    /// simulate_rounds_into a fresh batch, then batch.to_round per spec
+    /// (allocates per delivery): one owning result per spec, in spec order.
+    std::vector<TransportRound> simulate_rounds(std::span<const RoundSpec> specs) const;
 
     /// Simulate one round. `messages[v]` is node v's broadcast (at most
     /// message_bits bits) or nullopt for silence. `round_nonce` must differ
-    /// across rounds (it keys the fresh per-round randomness). Equivalent to
-    /// simulate_rounds with a single spec.
+    /// across rounds (it keys the fresh per-round randomness). Diagnostics
+    /// expect nothing from `faults` nodes; deliveries at correct nodes
+    /// measure how far the damage spreads.
     TransportRound simulate_round(const std::vector<std::optional<Bitstring>>& messages,
-                                  std::uint64_t round_nonce) const;
+                                  std::uint64_t round_nonce,
+                                  const FaultModel& faults = {}) const;
 
     /// Beep rounds one simulated round costs on this transport's graph.
     virtual std::size_t rounds_per_broadcast_round() const = 0;
@@ -138,35 +151,14 @@ public:
     /// always run one shard.
     BeepTransport(const Graph& graph, SimulationParams params, std::size_t shard_count = 1);
 
-    using Transport::simulate_round;
-
-    std::vector<TransportRound> simulate_rounds(
-        std::span<const RoundSpec> specs) const override;
-
-    /// The zero-copy batch path: decode `specs` into caller-owned arena
-    /// storage (see transport_batch.h). Bit-identical to simulate_rounds —
-    /// batch.to_round(i) reproduces result[i] exactly — but delivered
-    /// messages land as fixed-stride records in per-worker arenas instead
-    /// of per-node Bitstring vectors, and all decode scratch lives in the
-    /// batch, so a reused batch at its steady-state high-water mark decodes
-    /// with zero heap allocations at any shard and worker count. The batch
-    /// also owns each shard's Codebook::Round and rebuilds it in place only
-    /// when the codebook, nonce or messages differ from what built it, so a
-    /// round that repeats the previous key reuses it. Each round runs two
-    /// per-shard stages on this transport's pool: build (and publish the
-    /// boundary rows), then decode. With one shard the stage
-    /// runs on the caller and its round build and node decodes fan out over
-    /// every worker; with k > 1 each shard runs on one worker. One
-    /// simulate_rounds_into call writes a batch at a time; simulate_rounds
-    /// is this plus the per-round conversion.
-    void simulate_rounds_into(std::span<const RoundSpec> specs, TransportBatch& batch) const;
-
-    /// Fault-injected variant: `faults` nodes misbehave as described by
-    /// FaultModel. Ground-truth diagnostics expect nothing from faulty nodes
-    /// (their messages are lost by definition); deliveries at correct nodes
-    /// measure how far the damage spreads.
-    TransportRound simulate_round(const std::vector<std::optional<Bitstring>>& messages,
-                                  std::uint64_t round_nonce, const FaultModel& faults) const;
+    /// Algorithm 1 into `batch`, which owns each shard's Codebook::Round and
+    /// rebuilds it in place only when the codebook, nonce or messages change.
+    /// Each round runs two per-shard stages on this transport's pool: build
+    /// (and publish the boundary rows), then decode. With one shard the
+    /// stage runs on the caller and fans out over every worker; with k > 1
+    /// each shard runs on one worker.
+    void simulate_rounds_into(std::span<const RoundSpec> specs,
+                              TransportBatch& batch) const override;
 
     /// Beep rounds one simulated round costs on this graph (2*b).
     std::size_t rounds_per_broadcast_round() const override;

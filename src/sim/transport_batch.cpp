@@ -128,7 +128,9 @@ std::span<const std::uint64_t> TransportBatch::delivered_words(std::size_t round
 }
 
 Bitstring TransportBatch::delivered_message(std::size_t round, NodeId v, std::size_t i) const {
-    return Bitstring::from_words(delivered_words(round, v, i), message_bits_);
+    Bitstring message;
+    message.assign_words(delivered_words(round, v, i), message_bits_);
+    return message;
 }
 
 TransportRound TransportBatch::to_round(std::size_t round) const {

@@ -1,9 +1,7 @@
-// Caller-owned zero-copy result storage for batched transport simulation.
-//
-// simulate_rounds() returns vector<vector<Bitstring>> deliveries — two heap
-// levels per node per round, allocated anew each call. At batch rates that
-// allocation traffic, not decoding, caps throughput. A TransportBatch
-// replaces it with arena storage sized once and reused forever:
+// Caller-owned zero-copy result storage: what every transport's one round
+// entry point, Transport::simulate_rounds_into, writes. Owning per-node
+// vector<Bitstring> deliveries would cost two heap levels per node per
+// round; a TransportBatch is arena storage sized once and reused forever:
 //
 //   * every delivered message is a fixed-stride record (the payload tail's
 //     packed words — one message size per transport, so records need no
@@ -16,13 +14,12 @@
 //     offset, count). Runs are contiguous because a worker decodes one node
 //     at a time.
 //
-// Arenas and slot tables keep their capacity across simulate_rounds_into
-// calls: after the first batch of a steady-state workload reaches its
-// high-water mark, decoding performs no heap allocation at all (asserted by
-// the steady-state allocation tests). BeepTransport levels every worker's
-// arena to the whole batch's record count at the end of each batch, so the
-// high-water mark holds for any shard and worker count, not just for one
-// schedule.
+// Arenas, slot tables and the transport's scratch (BeepTransport's rounds
+// and decode workspaces, TdmaTransport's packed schedules and heard buffers)
+// keep their capacity across calls, and each call levels every worker's
+// arena to the whole batch's record count: once a steady-state workload
+// reaches its high-water mark, decoding performs no heap allocation at any
+// shard and worker count (asserted by the steady-state allocation tests).
 // The batch is written by one simulate_rounds_into call at a time (readers
 // may inspect it between calls); it is not a concurrent container.
 #pragma once
@@ -90,8 +87,8 @@ public:
     /// convenience accessor for tests and non-hot callers).
     Bitstring delivered_message(std::size_t round, NodeId v, std::size_t i) const;
 
-    /// The TransportRound this batch's round would have produced through
-    /// simulate_rounds — the compatibility bridge (allocates per delivery).
+    /// The owning TransportRound for `round` — what simulate_rounds returns
+    /// (allocates per delivery).
     TransportRound to_round(std::size_t round) const;
 
     /// Arena words currently allocated across workers (observability; the
@@ -100,6 +97,7 @@ public:
 
 private:
     friend class BeepTransport;
+    friend class TdmaTransport;
     friend void transport_detail::decode_node(const transport_detail::DecodeContext& ctx,
                                               std::size_t worker, NodeId v);
 

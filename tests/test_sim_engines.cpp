@@ -3,6 +3,7 @@
 // property that simulated runs reproduce native runs exactly.
 #include <gtest/gtest.h>
 
+#include "alloc_hooks.h"
 #include "apps/bfs.h"
 #include "apps/matching.h"
 #include "apps/mis.h"
@@ -47,6 +48,95 @@ TEST(BroadcastCongestOverBeeps, RejectsOversizedBudget) {
     CongestParams congest{64, 0};
     EXPECT_THROW(BroadcastCongestOverBeeps(g, sim_params_for(32, 0.0), congest),
                  precondition_error);
+}
+
+/// Heap allocations the run loop and the transport make per CONGEST round.
+/// Node 0 marks the allocation count at the start of each round's broadcasts;
+/// every node counts what its own calls allocate (the returned message), and
+/// that share is subtracted, so a mark-to-mark difference is exactly what
+/// BroadcastCongestOverBeeps::run spent on that round outside the algorithms.
+struct RoundAllocProbe {
+    std::uint64_t algorithm_allocs = 0;
+    std::vector<std::uint64_t> marks;  ///< reserved up front: pushing never allocates
+};
+
+/// Broadcasts a width-bit message every round for `rounds` rounds: new bits
+/// each round (fixed_bits = false) or the same bits every round.
+class ChatterNode final : public BroadcastCongestAlgorithm {
+public:
+    ChatterNode(RoundAllocProbe& probe, std::size_t rounds, bool fixed_bits)
+        : probe_(probe), rounds_(rounds), fixed_bits_(fixed_bits) {}
+
+    void initialize(NodeId self, const CongestInfo& info, Rng&) override {
+        self_ = self;
+        width_ = info.message_bits;
+    }
+
+    std::optional<Bitstring> broadcast(std::size_t round, Rng&) override {
+        if (self_ == 0) {
+            probe_.marks.push_back(alloc_hooks::count() - probe_.algorithm_allocs);
+        }
+        const std::uint64_t before = alloc_hooks::count();
+        std::optional<Bitstring> message(std::in_place, width_);
+        const std::uint64_t bits = mix64(self_ * 977 + (fixed_bits_ ? 0 : round));
+        for (std::size_t i = 0; i < width_; ++i) {
+            message->set(i, ((bits >> (i % 64)) & 1) != 0);
+        }
+        probe_.algorithm_allocs += alloc_hooks::count() - before;
+        return message;
+    }
+
+    void receive(std::size_t round, const std::vector<Bitstring>&, Rng&) override {
+        done_ = round + 1 >= rounds_;
+    }
+
+    bool finished() const override { return done_; }
+
+private:
+    RoundAllocProbe& probe_;
+    std::size_t rounds_;
+    bool fixed_bits_;
+    NodeId self_ = 0;
+    std::size_t width_ = 0;
+    bool done_ = false;
+};
+
+TEST(BroadcastCongestOverBeeps, RoundsAfterTheFirstAllocateNothing) {
+    // run() holds one TransportBatch and per-node inboxes across CONGEST
+    // rounds, so every round after the first reuses the decode scratch, the
+    // arenas, the Round (rebuilt in place for each nonce) and the inbox
+    // Bitstrings. two_hop sends new bits every round; all_nodes the same bits,
+    // so its Round keeps the node-payload decode gaps.
+    Rng rng(0x5a);
+    const Graph g = make_random_regular(128, 6, rng);
+    const std::size_t width = 12;
+    const std::size_t rounds = 6;
+    for (const auto policy : {DictionaryPolicy::two_hop, DictionaryPolicy::all_nodes}) {
+        for (const std::size_t threads : {1, 4}) {
+            const bool all_nodes = policy == DictionaryPolicy::all_nodes;
+            SCOPED_TRACE(::testing::Message() << (all_nodes ? "all_nodes" : "two_hop")
+                                              << " threads=" << threads);
+            SimulationParams params = sim_params_for(width, 0.05);
+            params.dictionary = policy;
+            params.bitslice_min_candidates = 64;
+            params.threads = threads;
+            BroadcastCongestOverBeeps engine(g, params, CongestParams{width, 3});
+            RoundAllocProbe probe;
+            probe.marks.reserve(rounds + 1);
+            std::vector<std::unique_ptr<BroadcastCongestAlgorithm>> nodes;
+            for (NodeId v = 0; v < g.node_count(); ++v) {
+                nodes.push_back(std::make_unique<ChatterNode>(probe, rounds, all_nodes));
+            }
+            const auto stats = engine.run(nodes, rounds + 1);
+            ASSERT_TRUE(stats.all_finished);
+            ASSERT_EQ(stats.congest_rounds, rounds);
+            ASSERT_EQ(stats.imperfect_rounds, 0u);  // same delivery counts every round
+            ASSERT_EQ(probe.marks.size(), rounds);
+            for (std::size_t r = 1; r + 1 < rounds; ++r) {
+                EXPECT_EQ(probe.marks[r + 1] - probe.marks[r], 0u) << "CONGEST round " << r;
+            }
+        }
+    }
 }
 
 // ---------------------------------------- differential: native == simulated

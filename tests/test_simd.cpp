@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "alloc_hooks.h"
+#include "baselines/tdma_transport.h"
 #include "common/aligned.h"
 #include "common/bitslice.h"
 #include "common/bitstring.h"
@@ -372,7 +373,7 @@ TEST(TransportBatchRing, ReusedBatchMatchesSimulateRounds) {
 /// Allocations of a third simulate_rounds_into call through a batch the
 /// first two calls warmed (the batch keeps its round: same messages
 /// and nonce).
-std::uint64_t steady_state_allocs(const BeepTransport& transport,
+std::uint64_t steady_state_allocs(const Transport& transport,
                                   const std::vector<std::optional<Bitstring>>& messages) {
     std::vector<RoundSpec> specs(4, RoundSpec{&messages, 5, nullptr});
     TransportBatch batch;
@@ -393,7 +394,8 @@ TEST(TransportBatchRing, SteadyStateDecodeAllocatesNothing) {
     // which worker decodes which node changes from batch to batch. all_nodes
     // below the crossover puts the measurement on the bitslice + SoA + arena
     // path; two_hop on the per-candidate scalar path; the 4-shard ring on
-    // the boundary exchange (halo imports written into warm slots).
+    // the boundary exchange (halo imports written into warm slots); the TDMA
+    // baseline on its packed schedules and per-worker heard buffers.
     Rng rng(9);
     const Graph graph = make_erdos_renyi(48, 0.15, rng);
     const auto messages = make_messages(graph, 10, 77);
@@ -417,6 +419,15 @@ TEST(TransportBatchRing, SteadyStateDecodeAllocatesNothing) {
         ASSERT_EQ(sharded.shard_count(), 4u);
         EXPECT_EQ(steady_state_allocs(sharded, ring_messages), 0u)
             << "steady-state sharded decode allocated";
+
+        SCOPED_TRACE(::testing::Message() << "TDMA, threads=" << threads);
+        TdmaParams tdma;
+        tdma.epsilon = 0.1;
+        tdma.message_bits = 10;
+        tdma.repetitions = 5;
+        tdma.threads = threads;
+        EXPECT_EQ(steady_state_allocs(TdmaTransport(graph, tdma), messages), 0u)
+            << "steady-state TDMA decode allocated";
     }
 }
 
